@@ -15,22 +15,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Context, Poly, _as_rat
+from .poly import Context, Poly
 
 
-def _merge_sign(I: tuple, J: tuple):
-    """Merge disjoint increasing tuples; return (sign, merged) or (0, None)."""
-    if set(I) & set(J):
-        return 0, None
-    merged = sorted(I + J)
-    seq = list(I + J)
-    # sign of the permutation sorting the concatenation
+def _sort_sign(seq, odd=None):
+    """Insertion-sort ``seq``; return (Koszul sign, sorted tuple).
+
+    Swapping two neighbours costs -1 when ``odd`` holds for both (every
+    entry is odd when ``odd`` is None); a repeated odd entry gives
+    (0, ()).  ``odd`` is consulted only on swapped or equal neighbours,
+    so an already sorted word costs no parity lookups.
+    """
+    seq = list(seq)
     sign = 1
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
+    for i in range(1, len(seq)):
+        j = i
+        while j > 0 and seq[j - 1] > seq[j]:
+            if odd is None or (odd(seq[j - 1]) and odd(seq[j])):
                 sign = -sign
-    return sign, tuple(merged)
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
+            j -= 1
+    for a, b in zip(seq, seq[1:]):
+        if a == b and (odd is None or odd(a)):
+            return 0, ()
+    return sign, tuple(seq)
 
 
 class _Graded:
@@ -264,7 +272,7 @@ def _wedge_comps(ctx, ca: dict, cb: dict) -> dict:
     out: dict = {}
     for I, f in ca.items():
         for J, g in cb.items():
-            sign, idx = _merge_sign(I, J)
+            sign, idx = _sort_sign(I + J)
             if sign == 0:
                 continue
             out[idx] = out.get(idx, Poly.zero(ctx)) + sign * (f * g)
@@ -305,6 +313,19 @@ def _contract_axis(comps: dict, i: int) -> dict:
     return out
 
 
+def _contract_into(outer: dict, inner: dict, ctx: Context) -> dict:
+    """Sum over the outer components of the coefficient times the inner
+    component map with the outer basis axes contracted in order."""
+    out: dict = {}
+    for K, c in outer.items():
+        comps = inner
+        for i in K:
+            comps = _contract_axis(comps, i)
+        for idx, g in comps.items():
+            out[idx] = out.get(idx, Poly.zero(ctx)) + c * g
+    return out
+
+
 def contract(Y, a: Form) -> Form:
     """Interior product iota_Y a for Y a VField or MultiVec.
 
@@ -314,18 +335,10 @@ def contract(Y, a: Form) -> Form:
     if isinstance(Y, VField):
         Y = Y.to_multivec()
     Y._check(a)
-    q = Y.degree
-    deg = a.degree - q
+    deg = a.degree - Y.degree
     if deg < 0:
         return Form.zero(a.ctx, deg)
-    out: dict = {}
-    for K, c in Y.comps.items():
-        comps = a.comps
-        for i in K:
-            comps = _contract_axis(comps, i)
-        for idx, g in comps.items():
-            out[idx] = out.get(idx, Poly.zero(a.ctx)) + c * g
-    return Form(a.ctx, deg, out)
+    return Form(a.ctx, deg, _contract_into(Y.comps, a.comps, a.ctx))
 
 
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
@@ -335,14 +348,7 @@ def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
     deg = pi.degree - alpha.degree
     if deg < 0:
         return MultiVec.zero(pi.ctx, deg)
-    out: dict = {}
-    for I, c in alpha.comps.items():
-        comps = pi.comps
-        for i in I:
-            comps = _contract_axis(comps, i)
-        for idx, g in comps.items():
-            out[idx] = out.get(idx, Poly.zero(pi.ctx)) + c * g
-    return MultiVec(pi.ctx, deg, out)
+    return MultiVec(pi.ctx, deg, _contract_into(alpha.comps, pi.comps, pi.ctx))
 
 
 # ---------------------------------------------------------------------
@@ -359,7 +365,7 @@ def deRham(a: Form) -> Form:
             dc = c.partial(i)
             if dc.is_zero():
                 continue
-            sign, merged = _merge_sign((i,), idx)
+            sign, merged = _sort_sign((i,) + idx)
             if sign == 0:
                 continue
             out[merged] = out.get(merged, Poly.zero(a.ctx)) + sign * dc

@@ -4,34 +4,62 @@ Each subcommand runs a verification suite from the library and emits one
 flat report object per check (JSON lines, or a text summary).  Reports
 always carry the seed and trial count, so a run is reproducible from its
 own output.  Exit codes: 0 all checks pass, 1 at least one check fails,
-2 file or parse errors.
+2 bad input: a file error, a parse error or an out-of-range argument.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
 import sys
 from fractions import Fraction
 
-from .calculus import Form, contract, deRham
+from .calculus import Form, deRham
 from .courant import SectionEp
-from .graded import derived_check, oracle_compare
+from .graded import ORACLE_MAX_ARITY, derived_check, oracle_compare
 from .lagrangian import (LinSubspace, classify, from_pair, multidirac_tier,
                          nambu_dirac_check, perp_tier, random_lagrangian,
                          to_pair)
-from .linfty import (GradedElem, ObservablesFamily, TwistedSectionsFamily,
+from .linfty import (ObservablesFamily, TwistedSectionsFamily,
                      check_prequantum_morphism, check_relation)
-from .parser import ParseError, parse_expression
+from .parser import parse_expression
 from .poly import Context, Poly
-from .presentations import (GraphForm, GraphMultivector, HamiltonianDatum,
-                            Regular, ScaledTop)
-from .sampling import (random_closed_form, random_form, random_poly,
-                       random_symmetry_vfield, random_vfield)
+from .presentations import GraphForm, GraphMultivector, Regular, ScaledTop
+from .sampling import (random_observables_elem, random_poly,
+                       random_twisted_elem, random_vfield)
 
 SCHEMA = 1
+
+
+class _BadInput(Exception):
+    """Input a command cannot use; ``main`` reports it and exits 2."""
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report errors raised while reading user input as bad input."""
+    try:
+        yield
+    except (ValueError, KeyError, OSError) as exc:
+        raise _BadInput(exc) from exc
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise _BadInput(message)
+
+
+def _context(dim: int) -> Context:
+    _require(dim >= 1, f"--dim must be >= 1, got {dim}")
+    return Context(dim)
+
+
+def _check_order(args) -> None:
+    _require(1 <= args.p <= args.dim,
+             f"need 1 <= --p <= --dim, got --p {args.p}, --dim {args.dim}")
 
 
 def _default_seed() -> int:
@@ -77,53 +105,21 @@ def _common_flags(sp, trials=20):
     sp.add_argument("--format", choices=("json", "text"), default="json")
 
 
-# -- random elements for the relation suites ----------------------------
-
-
-def _rand_observables_elem(F, rng, max_deg=1):
-    P = F.P
-    if P.p > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, P.p)
-        return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
-                                      max_deg=max_deg))
-    if all(c.is_constant() for c in P.omega.comps.values()):
-        return F.element(random_form(rng, P.ctx, P.p - 1, max_deg=max_deg))
-    X = random_symmetry_vfield(rng, P.omega, 1)
-    beta = -contract(X, P.omega)
-    from .calculus import poincare_primitive
-    alpha = (poincare_primitive(beta) if not beta.is_zero()
-             else Form.zero(P.ctx, P.p - 1))
-    alpha = alpha + random_closed_form(rng, P.ctx, P.p - 1)
-    return GradedElem(0, HamiltonianDatum(P, alpha, X))
-
-
-def _rand_getzler_elem(F, rng, max_deg=1):
-    if F.r > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, F.r)
-        return F.form(-k, random_form(rng, F.ctx, F.r - 1 - k,
-                                      max_deg=max_deg))
-    return F.section(random_vfield(rng, F.ctx, max_deg=max_deg),
-                     random_form(rng, F.ctx, F.r - 1, max_deg=max_deg))
-
-
 # -- subcommands ---------------------------------------------------------
 
 
 def cmd_parse(args) -> int:
-    ctx = Context(args.dim)
-    try:
+    ctx = _context(args.dim)
+    with _reading_input():
         src = _read_source(args.expr)
         value, warnings = parse_expression(src, ctx, args.p)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     rep = {"command": "parse", "kind": type(value).__name__,
            "normalized": str(value), "warnings": warnings, "status": "pass"}
     return _emit([rep], args.format)
 
 
 def _linfty_family(args, rng):
-    ctx = Context(args.dim)
+    ctx = _context(args.dim)
     if args.family == "observables":
         if args.omega is not None:
             omega = _parse_flag(args.omega, ctx)
@@ -133,23 +129,20 @@ def _linfty_family(args, rng):
         else:
             raise ValueError("supply --omega unless dim = p + 1")
         F = ObservablesFamily(GraphForm(args.dim, args.p, omega))
-        return F, args.p, lambda: _rand_observables_elem(F, rng)
+        return F, args.p, lambda: random_observables_elem(rng, F)
     H = None
     if args.H is not None and args.H.strip() != "0":
         H = _parse_flag(args.H, ctx)
     F = TwistedSectionsFamily(args.r, ctx, H,
                               allow_nonclosed=args.allow_nonclosed)
-    return F, args.r, lambda: _rand_getzler_elem(F, rng)
+    return F, args.r, lambda: random_twisted_elem(rng, F)
 
 
 def cmd_check_linfty(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
-    try:
+    with _reading_input():
         F, depth, rand_elem = _linfty_family(args, rng)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     arity_max = args.arity_max or depth + 2
     reports = []
     for n in range(1, arity_max + 1):
@@ -198,12 +191,8 @@ def _constant_subspace(P):
 
 
 def cmd_check_dirac(args) -> int:
-    try:
+    with _reading_input():
         P = _load_presentation(args.file)
-    except (ParseError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     reports = []
     for name, rep in (("isotropic", P.verify_isotropic()),
                       ("involutive", P.verify_involutive())):
@@ -227,14 +216,11 @@ def cmd_check_dirac(args) -> int:
 def cmd_check_morphism(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
-    ctx = Context(args.dim)
-    try:
+    ctx = _context(args.dim)
+    with _reading_input():
         sigma = _parse_flag(args.sigma, ctx)
-        if not isinstance(sigma, Form) or sigma.degree != 2:
-            raise ValueError("--sigma must be a 2-form")
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _require(isinstance(sigma, Form) and sigma.degree == 2,
+             "--sigma must be a 2-form")
 
     def rand_e0():
         return SectionEp(0, random_vfield(rng, ctx, max_deg=1),
@@ -264,6 +250,7 @@ def cmd_check_morphism(args) -> int:
 
 
 def cmd_lagrangian_roundtrip(args) -> int:
+    _check_order(args)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
     roundtrip_bad = classify_bad = 0
@@ -290,6 +277,7 @@ def cmd_lagrangian_roundtrip(args) -> int:
 
 
 def cmd_multidirac_tiers(args) -> int:
+    _check_order(args)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
     n, p = args.dim, args.p
@@ -316,17 +304,17 @@ def cmd_multidirac_tiers(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    _require(args.arity_max is None or args.arity_max <= ORACLE_MAX_ARITY,
+             f"--arity-max must be <= {ORACLE_MAX_ARITY}, "
+             f"got {args.arity_max}")
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
-    ctx = Context(args.dim)
-    try:
+    ctx = _context(args.dim)
+    with _reading_input():
         H = None
         if args.H is not None and args.H.strip() != "0":
             H = _parse_flag(args.H, ctx)
         F = TwistedSectionsFamily(args.r, ctx, H, allow_nonclosed=True)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     reports = []
     facts = derived_check(args.r, ctx, rng, H, samples=min(args.trials, 5))
     reports.append({"command": "oracle-compare", "check": "graded-model",
@@ -334,9 +322,9 @@ def cmd_oracle_compare(args) -> int:
                     "trials": args.trials,
                     "twist_closed": facts["twist_closed"],
                     "status": facts["status"]})
-    arity_max = min(args.arity_max or args.r + 2, 5)
+    arity_max = args.arity_max or min(args.r + 2, ORACLE_MAX_ARITY)
     for n in range(2, arity_max + 1):
-        tuples = [[_rand_getzler_elem(F, rng) for _ in range(n)]
+        tuples = [[random_twisted_elem(rng, F) for _ in range(n)]
                   for _ in range(args.trials)]
         witnesses = oracle_compare(F, tuples)
         reports.append({"command": "oracle-compare",
@@ -406,7 +394,11 @@ def main(argv=None) -> int:
     sp.set_defaults(func=cmd_oracle_compare)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-"""The higher split-Courant structure on E^p = TM + /\^p T*M.
+"""The higher split-Courant structure on E^p = TM + /\\^p T*M.
 
 Pairing, Dorfman and Courant brackets with optional H-twist, gauge
 transformations and the lambda-scaling, together with the tiered pairing
-and bracket on P_r = /\^r TM + /\^{p+1-r} T*M.
+and bracket on P_r = /\\^r TM + /\\^{p+1-r} T*M.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .calculus import (
     lie_bracket,
     lie_derivative,
     schouten,
-    wedge,
 )
 from .poly import Context, Poly, _as_rat
 

@@ -1,6 +1,6 @@
 """Graded-symplectic oracle for the twisted multibrackets.
 
-An independent model of the brackets on TM + /\^{r-1} T*M: polynomials
+An independent model of the brackets on TM + /\\^{r-1} T*M: polynomials
 in commuting coordinates x_i and graded generators v_i (degree 1),
 p_i (degree r-1), P_i (degree r), with the degree -r Poisson bracket
 generated by
@@ -20,9 +20,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from .calculus import Form, VField, contract, deRham
+from .calculus import Form, VField, _sort_sign, contract, deRham
 from .courant import SectionEp
-from .linfty import GradedElem, TwistedSectionsFamily, sym_koszul_sign
+from .linfty import GradedElem, TwistedSectionsFamily
 from .poly import Context, Poly, bernoulli
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -30,23 +30,6 @@ _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
 
 def _gen_degree(gen, r: int) -> int:
     return _KIND_DEG[gen[0]](r)
-
-
-def _canonical(gens, r: int):
-    """Sort a generator word; adjacent swaps cost (-1)^{|g||h|}."""
-    gens = list(gens)
-    sign = 1
-    for i in range(1, len(gens)):
-        j = i
-        while j > 0 and gens[j - 1] > gens[j]:
-            if _gen_degree(gens[j - 1], r) % 2 and _gen_degree(gens[j], r) % 2:
-                sign = -sign
-            gens[j - 1], gens[j] = gens[j], gens[j - 1]
-            j -= 1
-    for a, b in zip(gens, gens[1:]):
-        if a == b and _gen_degree(a, r) % 2:
-            return 0, ()
-    return sign, tuple(gens)
 
 
 class GPoly:
@@ -58,8 +41,12 @@ class GPoly:
         self.r = r
         self.ctx = ctx
         clean = {}
+
+        def odd(gen):
+            return _gen_degree(gen, r) % 2
+
         for (e, gens), c in (terms or {}).items():
-            sign, word = _canonical(gens, r)
+            sign, word = _sort_sign(gens, odd)
             if sign == 0 or c == 0:
                 continue
             key = (e, word)
@@ -292,6 +279,9 @@ def structure_constant(n: int) -> Fraction:
     return sign * bernoulli(n - 1) / math.factorial(n - 1)
 
 
+ORACLE_MAX_ARITY = 5
+
+
 def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     """Symmetrized derived bracket of S - H on encoded complex elements.
 
@@ -302,6 +292,8 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     (-1)^{sum_i (n-i) d_i} built from the skew degrees d_i = k_i - r + 1.
     """
     n = len(elems)
+    if n > ORACLE_MAX_ARITY:
+        raise ValueError(f"arity {n} not supported (max {ORACLE_MAX_ARITY})")
     Sd = s_poly(r, ctx)
     if H is not None:
         Sd = Sd - encode_form(r, H)
@@ -313,7 +305,7 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     for sigma in itertools.permutations(range(n)):
         if elems[sigma[0]][1] != r - 1:
             continue
-        eps = sym_koszul_sign(sigma, parities)
+        eps = _sort_sign(sigma, parities.__getitem__)[0]
         cur = gbracket(Sd, elems[sigma[0]][0])
         for idx in sigma[1:]:
             cur = gbracket(cur, elems[idx][0])
@@ -321,14 +313,6 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     dec = sum((n - i) * (k - r + 1) for i, (_, k) in enumerate(elems, 1))
     conv = -1 if (_binom2(n - 1) + dec) % 2 else 1
     return (conv * structure_constant(n)) * total
-
-
-def oracle_multibracket(r: int, ctx: Context, elems,
-                        H: Form | None = None) -> GPoly:
-    """Derived n-ary bracket with the supported arity made explicit."""
-    if len(elems) > 5:
-        raise ValueError(f"arity {len(elems)} not supported (max 5)")
-    return oracle_bracket(r, ctx, elems, H)
 
 
 def encode_element(r: int, a: GradedElem, ctx: Context | None = None):

@@ -84,6 +84,3 @@ def span_contains(rows: list[list[Fraction]], v: list[Fraction]) -> bool:
             w = [a - f * b for a, b in zip(w, row)]
     return all(x == 0 for x in w)
 
-
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(span_basis(rows))

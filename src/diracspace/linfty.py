@@ -9,7 +9,7 @@ checked against the homotopy Jacobi relations
 with chi the Koszul sign of the odd representation.  Two concrete
 families are provided: the observables of a presented subbundle
 (Hamiltonian (p-1)-forms in degree 0, lower forms below) and the
-H-twisted brackets on sections of /\^{r-1} T* + TM with lower forms
+H-twisted brackets on sections of /\\^{r-1} T* + TM with lower forms
 below.  On top of these sit Lie-2 morphism checks (the degree-0
 prequantum morphism into sections of TM + T*M twisted by a 2-form
 sigma), scaling and gauge strict isomorphisms, and the prequantization
@@ -24,13 +24,14 @@ from fractions import Fraction
 from .calculus import (
     Form,
     VField,
+    _sort_sign,
     contract,
     deRham,
     lie_bracket,
     lie_derivative,
 )
 from .courant import SectionEp, courant, pairing
-from .poly import Context, Poly, bernoulli
+from .poly import Context, bernoulli
 from .presentations import (
     HamiltonianDatum,
     Presentation,
@@ -112,28 +113,8 @@ def unshuffles(i: int, n: int):
 
 def koszul_sign(sigma, degrees) -> int:
     """chi(sigma): each adjacent swap contributes -(-1)^{|a||b|}."""
-    perm = list(sigma)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1):
-            if perm[j] > perm[j + 1]:
-                d1, d2 = degrees[perm[j]], degrees[perm[j + 1]]
-                sign *= -1 if (d1 * d2) % 2 == 0 else 1
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return sign
-
-
-def sym_koszul_sign(sigma, parities) -> int:
-    """Plain Koszul sign: each adjacent swap contributes (-1)^{|a||b|}."""
-    perm = list(sigma)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1):
-            if perm[j] > perm[j + 1]:
-                if parities[perm[j]] % 2 and parities[perm[j + 1]] % 2:
-                    sign = -sign
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return sign
+    return (_sort_sign(sigma)[0]
+            * _sort_sign(sigma, lambda k: degrees[k] % 2)[0])
 
 
 # -- families ----------------------------------------------------------
@@ -236,7 +217,7 @@ class ObservablesFamily(MultibracketFamily):
 
 
 class TwistedSectionsFamily(MultibracketFamily):
-    """H-twisted multibrackets on sections of TM + /\^{r-1} T*M.
+    """H-twisted multibrackets on sections of TM + /\\^{r-1} T*M.
 
     Degree 0: sections; degree -k (0 < k < r): (r-1-k)-forms.  l_1 = d
     below degree 0; l_2 is the H-twisted Courant bracket on two sections

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .calculus import Form, MultiVec, VField
+from .calculus import Form, MultiVec, VField, _sort_sign
 from .courant import SectionEp
 from .poly import Context, Poly
 
@@ -106,8 +106,8 @@ class _Terms:
         warnings = self.warnings + other.warnings
         for (fa, va), ca in self.terms.items():
             for (fb, vb), cb in other.terms.items():
-                sf, f = _sort_word(fa + fb)
-                sv, v = _sort_word(va + vb)
+                sf, f = _sort_sign(fa + fb)
+                sv, v = _sort_sign(va + vb)
                 if sf == 0 or sv == 0:
                     word = fa + fb if sf == 0 else va + vb
                     warnings.append(
@@ -118,21 +118,6 @@ class _Terms:
                 self._put(out, (f, v), (sf * sv) * (ca * cb))
         return _Terms(self.ctx, {k: c for k, c in out.items()
                                  if not c.is_zero()}, warnings)
-
-
-def _sort_word(word):
-    word = list(word)
-    sign = 1
-    for i in range(1, len(word)):
-        j = i
-        while j > 0 and word[j - 1] > word[j]:
-            word[j - 1], word[j] = word[j], word[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(word, word[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(word)
 
 
 class _Parser:
@@ -284,7 +269,3 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
                          f"expected {p}", 1, 1)
     return SectionEp(p, X, form), t.warnings
 
-
-def print_expression(value) -> str:
-    """Canonical printer (round-trips through parse_expression)."""
-    return str(value)

@@ -227,17 +227,6 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-def poly_arith(a: Poly, b: Poly, kind: str) -> Poly:
-    """Dispatch wrapper: kind in {add, mul, neg} (neg ignores b)."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "neg":
-        return -a
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 @lru_cache(maxsize=None)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m, with B_1 = -1/2 (so B_2 = 1/6, B_4 = -1/30).

@@ -11,7 +11,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .calculus import Form, MultiVec, VField, deRham
+from .calculus import (Form, MultiVec, VField, contract, deRham,
+                       poincare_primitive)
 from .poly import Context, Poly
 
 
@@ -109,3 +110,36 @@ def random_symmetry_vfield(rng: random.Random, omega: Form,
             if coef:
                 X = X + g * (c * coef)
     return X
+
+
+def random_observables_elem(rng: random.Random, F, max_deg: int = 1):
+    """A random element of an ObservablesFamily ``F``.
+
+    A lower form with probability 0.35 when p > 1; otherwise a
+    Hamiltonian (p-1)-form, with a symmetry vector field and a primitive
+    of -iota_X omega when omega is not constant.
+    """
+    P = F.P
+    if P.p > 1 and rng.random() < 0.35:
+        k = rng.randrange(1, P.p)
+        return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
+                                      max_deg=max_deg))
+    if all(c.is_constant() for c in P.omega.comps.values()):
+        return F.element(random_form(rng, P.ctx, P.p - 1, max_deg=max_deg))
+    X = random_symmetry_vfield(rng, P.omega, 1)
+    beta = -contract(X, P.omega)
+    alpha = (poincare_primitive(beta) if not beta.is_zero()
+             else Form.zero(P.ctx, P.p - 1))
+    alpha = alpha + random_closed_form(rng, P.ctx, P.p - 1)
+    return F.element(alpha, X)
+
+
+def random_twisted_elem(rng: random.Random, F, max_deg: int = 1):
+    """A random element of a TwistedSectionsFamily ``F``: a lower form
+    with probability 0.35 when r > 1, otherwise a section."""
+    if F.r > 1 and rng.random() < 0.35:
+        k = rng.randrange(1, F.r)
+        return F.form(-k, random_form(rng, F.ctx, F.r - 1 - k,
+                                      max_deg=max_deg))
+    return F.section(random_vfield(rng, F.ctx, max_deg=max_deg),
+                     random_form(rng, F.ctx, F.r - 1, max_deg=max_deg))

@@ -13,7 +13,7 @@ from math import comb
 
 from diracspace.poly import Context, Poly
 from diracspace.calculus import (Form, MultiVec, contract, deRham,
-                                 poincare_primitive, schouten, wedge)
+                                 schouten, wedge)
 from diracspace.courant import (SectionEp, SectionPr, courant, multi_bracket,
                                 multi_pairing)
 from diracspace.graded import derived_check, oracle_compare
@@ -22,7 +22,7 @@ from diracspace.lagrangian import (LinSubspace, classify, const_vfield,
                                    nambu_dirac_check, norom_subspace,
                                    perp_tier, random_lagrangian, span_basis,
                                    to_pair)
-from diracspace.linfty import (GradedElem, ObservablesFamily,
+from diracspace.linfty import (ObservablesFamily,
                                TwistedSectionsFamily, check_prequantization,
                                check_prequantum_morphism, check_relation,
                                check_strict_morphism, gauge_map,
@@ -31,8 +31,9 @@ from diracspace.presentations import (GraphForm, HamiltonianDatum, Regular,
                                       ScaledTop, ham_bracket,
                                       hamiltonian_solve)
 from diracspace.sampling import (random_closed_form, random_constant_form,
-                                 random_form, random_multivec, random_poly,
-                                 random_symmetry_vfield, random_vfield)
+                                 random_form, random_multivec,
+                                 random_observables_elem, random_poly,
+                                 random_twisted_elem, random_vfield)
 
 
 def gate(num, ok, summary, elapsed, budget):
@@ -41,31 +42,6 @@ def gate(num, ok, summary, elapsed, budget):
     print(line)
     assert ok, line
     assert elapsed < budget, line
-
-
-def rand_obs_elem(rng, F, max_deg=1):
-    P = F.P
-    if P.p > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, P.p)
-        return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
-                                      max_deg=max_deg))
-    if all(c.is_constant() for c in P.omega.comps.values()):
-        return F.element(random_form(rng, P.ctx, P.p - 1, max_deg=max_deg))
-    X = random_symmetry_vfield(rng, P.omega, 1)
-    beta = -contract(X, P.omega)
-    alpha = (poincare_primitive(beta) if not beta.is_zero()
-             else Form.zero(P.ctx, P.p - 1))
-    alpha = alpha + random_closed_form(rng, P.ctx, P.p - 1)
-    return GradedElem(0, HamiltonianDatum(P, alpha, X))
-
-
-def rand_getz_elem(rng, F, max_deg=1):
-    if F.r > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, F.r)
-        return F.form(-k, random_form(rng, F.ctx, F.r - 1 - k,
-                                      max_deg=max_deg))
-    return F.section(random_vfield(rng, F.ctx, max_deg=max_deg),
-                     random_form(rng, F.ctx, F.r - 1, max_deg=max_deg))
 
 
 def test_criterion_1_observables_relations():
@@ -81,7 +57,8 @@ def test_criterion_1_observables_relations():
             F = ObservablesFamily(GraphForm(dim, p, w))
             for n in range(1, p + 3):
                 for _ in range(50):
-                    elems = [rand_obs_elem(rng, F) for _ in range(n)]
+                    elems = [random_observables_elem(rng, F)
+                             for _ in range(n)]
                     assert check_relation(F, elems).is_zero(), (p, n)
                     checked += 1
     gate(1, checked == sum(50 * (p + 2) * 2 for p in (1, 2, 3)),
@@ -104,7 +81,7 @@ def test_criterion_2_getzler_relations():
             F = TwistedSectionsFamily(r, ctx, H)
             for n in range(1, r + 3):
                 for _ in range(50):
-                    elems = [rand_getz_elem(rng, F) for _ in range(n)]
+                    elems = [random_twisted_elem(rng, F) for _ in range(n)]
                     assert check_relation(F, elems).is_zero(), (r, n)
                     checked += 1
     # negative control: a non-closed twist must break some relation
@@ -113,7 +90,7 @@ def test_criterion_2_getzler_relations():
     broke = False
     for n in (2, 3):
         for _ in range(10):
-            elems = [rand_getz_elem(rng, Fbad) for _ in range(n)]
+            elems = [random_twisted_elem(rng, Fbad) for _ in range(n)]
             if not check_relation(Fbad, elems).is_zero():
                 broke = True
     gate(2, checked == 50 * (4 + 5) * 2 and broke,
@@ -144,7 +121,7 @@ def test_criterion_3_oracle_equivalence():
                     if t % 2 and n < 5:
                         kinds[rng.randrange(n)] = rng.randrange(1, r)
                     tuples.append(
-                        [rand_getz_elem(rng, F, max_deg=deg) if k == 0
+                        [random_twisted_elem(rng, F, max_deg=deg) if k == 0
                          else F.form(-k, random_form(rng, ctx, r - 1 - k,
                                                      max_deg=deg))
                          for k in kinds])
@@ -373,16 +350,16 @@ def test_criterion_8_isomorphism_suite():
     vol3 = Form(ctx3, 3, {(1, 2, 3): Poly.constant(ctx3, 1)})
     Fa = ObservablesFamily(GraphForm(3, 2, vol3))
     Fb = ObservablesFamily(GraphForm(3, 2, vol3 * lam))
-    tuples = [[rand_obs_elem(rng, Fa) for _ in range(rng.randint(1, 3))]
-              for _ in range(25)]
+    tuples = [[random_observables_elem(rng, Fa)
+               for _ in range(rng.randint(1, 3))] for _ in range(25)]
     ok = check_strict_morphism(Fa, Fb, lambda_scale_map(lam, Fb.P),
                                tuples) == []
     H = Form(ctx3, 3, {(1, 2, 3): random_poly(rng, ctx3, 1)})
     B = random_form(rng, ctx3, 2, max_deg=2)
     F1 = TwistedSectionsFamily(2, ctx3, H)
     F2 = TwistedSectionsFamily(2, ctx3, H + deRham(B))
-    tuples = [[rand_getz_elem(rng, F1) for _ in range(rng.randint(1, 3))]
-              for _ in range(25)]
+    tuples = [[random_twisted_elem(rng, F1)
+               for _ in range(rng.randint(1, 3))] for _ in range(25)]
     ok = ok and check_strict_morphism(F1, F2, gauge_map(B), tuples) == []
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
     pairs = [(Form.from_poly(random_poly(rng, ctx2, max_deg=3)),

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 from diracspace.poly import Context, Poly
-from diracspace.calculus import (Form, MultiVec, VField, contract, deRham,
-                                 iota_form, lie_bracket, lie_derivative,
-                                 lie_derivative_direct, mv_wedge,
-                                 poincare_primitive, schouten, wedge)
+from diracspace.calculus import (Form, MultiVec, VField, _sort_sign,
+                                 contract, deRham, iota_form, lie_bracket,
+                                 lie_derivative, lie_derivative_direct,
+                                 mv_wedge, poincare_primitive, schouten,
+                                 wedge)
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_multivec, random_poly, random_vfield)
 
@@ -135,3 +137,24 @@ def test_form_zero_degree_matches_poly():
     a = Form.from_poly(f)
     assert a.degree == 0
     assert a.to_poly() == f
+
+
+def test_sort_sign_matches_brute_force():
+    # every word of length n <= 5 over n letters: all permutations, and
+    # words with repeated entries, under every parity mask of the letters
+    for n in range(6):
+        for word in itertools.product(range(n), repeat=n):
+            for mask in range(2 ** n):
+                def odd(x):
+                    return mask >> x & 1
+
+                odds = [x for x in word if odd(x)]
+                if len(set(odds)) < len(odds):
+                    want = (0, ())
+                else:
+                    inv = sum(1 for a, b in itertools.combinations(word, 2)
+                              if a > b and odd(a) and odd(b))
+                    want = ((-1) ** inv, tuple(sorted(word)))
+                assert _sort_sign(word, odd) == want, (word, mask)
+                if mask == 2 ** n - 1:
+                    assert _sort_sign(word) == want, word

@@ -23,6 +23,24 @@ def test_parse_command_bad_input(capsys):
     assert main(["parse", "x1 $", "--dim", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["parse", "x1", "--dim", "0"],
+    ["check-morphism", "--sigma", "dx1^dx2", "--dim", "0"],
+    ["lagrangian-roundtrip", "--dim", "0"],
+    ["lagrangian-roundtrip", "--p", "0"],
+    ["lagrangian-roundtrip", "--dim", "2", "--p", "3"],
+    ["multidirac-tiers", "--dim", "0"],
+    ["multidirac-tiers", "--p", "0"],
+    ["multidirac-tiers", "--dim", "2", "--p", "3"],
+    ["oracle-compare", "--dim", "0"],
+    ["oracle-compare", "--arity-max", "9"],
+])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_linfty_getzler(capsys):
     code, reports = run_cli(capsys, "check-linfty", "--family", "getzler",
                             "--r", "2", "--dim", "3", "--H", "0",

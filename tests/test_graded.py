@@ -8,7 +8,7 @@ from diracspace.calculus import Form, deRham
 from diracspace.courant import SectionEp
 from diracspace.graded import (GPoly, decode, derived_check, encode_element,
                                encode_form, encode_section, encode_vfield,
-                               gbracket, oracle_compare, oracle_multibracket,
+                               gbracket, oracle_bracket, oracle_compare,
                                s_poly)
 from diracspace.linfty import TwistedSectionsFamily
 from diracspace.sampling import random_form, random_poly, random_vfield
@@ -119,7 +119,7 @@ def test_derived_check_detects_nonclosed_twist():
 def test_multibracket_arity_cap():
     elems = [(GPoly.zero(2, ctx3), 1)] * 6
     with pytest.raises(ValueError):
-        oracle_multibracket(2, ctx3, elems)
+        oracle_bracket(2, ctx3, elems)
 
 
 def _rand_elem(F, kind):

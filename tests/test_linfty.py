@@ -4,18 +4,17 @@ from fractions import Fraction
 import pytest
 
 from diracspace.poly import Context, Poly
-from diracspace.calculus import (Form, VField, contract, deRham,
-                                 poincare_primitive)
+from diracspace.calculus import Form, VField, deRham
 from diracspace.courant import SectionEp
-from diracspace.linfty import (GradedElem, ObservablesFamily,
+from diracspace.linfty import (ObservablesFamily,
                                TwistedSectionsFamily, check_prequantization,
                                check_prequantum_morphism, check_relation,
                                check_strict_morphism, gauge_map,
                                koszul_sign, lambda_scale_map, unshuffles)
-from diracspace.presentations import GraphForm, HamiltonianDatum
+from diracspace.presentations import GraphForm
 from diracspace.sampling import (random_closed_form, random_form,
-                                 random_poly, random_symmetry_vfield,
-                                 random_vfield)
+                                 random_observables_elem, random_poly,
+                                 random_twisted_elem, random_vfield)
 
 rng = random.Random(707)
 
@@ -24,31 +23,6 @@ ctx3 = Context(3)
 ctx4 = Context(4)
 vol3 = Form(ctx3, 3, {(1, 2, 3): Poly.constant(ctx3, 1)})
 vol4 = Form(ctx4, 4, {(1, 2, 3, 4): Poly.constant(ctx4, 1)})
-
-
-def rand_obs_elem(F, max_deg=1):
-    P = F.P
-    if P.p > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, P.p)
-        return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
-                                      max_deg=max_deg))
-    if all(c.is_constant() for c in P.omega.comps.values()):
-        return F.element(random_form(rng, P.ctx, P.p - 1, max_deg=max_deg))
-    X = random_symmetry_vfield(rng, P.omega, 1)
-    beta = -contract(X, P.omega)
-    alpha = (poincare_primitive(beta) if not beta.is_zero()
-             else Form.zero(P.ctx, P.p - 1))
-    alpha = alpha + random_closed_form(rng, P.ctx, P.p - 1)
-    return GradedElem(0, HamiltonianDatum(P, alpha, X))
-
-
-def rand_getz_elem(F, max_deg=1):
-    if F.r > 1 and rng.random() < 0.35:
-        k = rng.randrange(1, F.r)
-        return F.form(-k, random_form(rng, F.ctx, F.r - 1 - k,
-                                      max_deg=max_deg))
-    return F.section(random_vfield(rng, F.ctx, max_deg=max_deg),
-                     random_form(rng, F.ctx, F.r - 1, max_deg=max_deg))
 
 
 def test_unshuffles_and_koszul_signs():
@@ -67,7 +41,7 @@ def test_observables_relations_constant_omega():
         F = ObservablesFamily(P)
         for n in range(1, P.p + 3):
             for _ in range(5):
-                elems = [rand_obs_elem(F) for _ in range(n)]
+                elems = [random_observables_elem(rng, F) for _ in range(n)]
                 assert check_relation(F, elems).is_zero(), (name, n)
 
 
@@ -76,7 +50,7 @@ def test_observables_relations_polynomial_omega():
     F = ObservablesFamily(GraphForm(3, 2, w))
     for n in range(1, 5):
         for _ in range(4):
-            elems = [rand_obs_elem(F) for _ in range(n)]
+            elems = [random_observables_elem(rng, F) for _ in range(n)]
             assert check_relation(F, elems).is_zero()
 
 
@@ -90,7 +64,7 @@ def test_getzler_relations():
         F = TwistedSectionsFamily(r, ctx, H)
         for n in range(1, r + 3):
             for _ in range(4):
-                elems = [rand_getz_elem(F) for _ in range(n)]
+                elems = [random_twisted_elem(rng, F) for _ in range(n)]
                 assert check_relation(F, elems).is_zero(), (r, n)
 
 
@@ -102,7 +76,7 @@ def test_nonclosed_twist_breaks_relations():
     broke = 0
     for n in (2, 3):
         for _ in range(10):
-            elems = [rand_getz_elem(F) for _ in range(n)]
+            elems = [random_twisted_elem(rng, F) for _ in range(n)]
             if not check_relation(F, elems).is_zero():
                 broke += 1
     assert broke > 0
@@ -113,8 +87,8 @@ def test_binary_bracket_is_twisted_courant():
     H = Form(ctx3, 3, {(1, 2, 3): random_poly(rng, ctx3, 1)})
     F = TwistedSectionsFamily(2, ctx3, H)
     for _ in range(5):
-        e1 = rand_getz_elem(F)
-        e2 = rand_getz_elem(F)
+        e1 = random_twisted_elem(rng, F)
+        e2 = random_twisted_elem(rng, F)
         if e1.degree != 0 or e2.degree != 0:
             continue
         got = F.l([e1, e2])
@@ -157,7 +131,7 @@ def test_lambda_scale_strict_morphism():
     Pa = GraphForm(3, 2, vol3)
     Pb = GraphForm(3, 2, vol3 * lam)
     Fa, Fb = ObservablesFamily(Pa), ObservablesFamily(Pb)
-    tuples = [[rand_obs_elem(Fa) for _ in range(n)]
+    tuples = [[random_observables_elem(rng, Fa) for _ in range(n)]
               for n in range(1, 4) for _ in range(5)]
     assert check_strict_morphism(Fa, Fb, lambda_scale_map(lam, Pb),
                                  tuples) == []
@@ -168,7 +142,7 @@ def test_gauge_strict_morphism():
     B = random_form(rng, ctx3, 2, max_deg=2)
     F1 = TwistedSectionsFamily(2, ctx3, H)
     F2 = TwistedSectionsFamily(2, ctx3, H + deRham(B))
-    tuples = [[rand_getz_elem(F1) for _ in range(n)]
+    tuples = [[random_twisted_elem(rng, F1) for _ in range(n)]
               for n in range(1, 4) for _ in range(5)]
     assert check_strict_morphism(F1, F2, gauge_map(B), tuples) == []
 

@@ -6,7 +6,7 @@ import pytest
 from diracspace.poly import Context, Poly
 from diracspace.calculus import Form, MultiVec, VField
 from diracspace.courant import SectionEp
-from diracspace.parser import ParseError, parse_expression, print_expression
+from diracspace.parser import ParseError, parse_expression
 from diracspace.sampling import (random_form, random_multivec, random_poly,
                                  random_vfield)
 
@@ -14,12 +14,12 @@ rng = random.Random(909)
 
 
 def roundtrip(obj, ctx, p=None):
-    s = print_expression(obj)
+    s = str(obj)
     v1, _ = parse_expression(s, ctx, p)
-    assert v1 == obj, f"{s!r} -> {print_expression(v1)!r}"
-    s2 = print_expression(v1)
+    assert v1 == obj, f"{s!r} -> {str(v1)!r}"
+    s2 = str(v1)
     v2, _ = parse_expression(s2, ctx, p)
-    assert print_expression(v2) == s2
+    assert str(v2) == s2
 
 
 def test_poly_roundtrip_1000():
