@@ -63,7 +63,12 @@ def _check_order(args) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("DIRACSPACE_SEED", "0"))
+    value = os.environ.get("DIRACSPACE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise _BadInput(
+            f"DIRACSPACE_SEED must be an integer, got {value!r}") from None
 
 
 def _read_source(value: str) -> str:
@@ -139,8 +144,7 @@ def _linfty_family(args, rng):
 
 
 def cmd_check_linfty(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     with _reading_input():
         F, depth, rand_elem = _linfty_family(args, rng)
     arity_max = args.arity_max or depth + 2
@@ -152,30 +156,43 @@ def cmd_check_linfty(args) -> int:
                 failures += 1
         reports.append({"command": "check-linfty", "family": args.family,
                         "check": f"homotopy-relation-arity-{n}",
-                        "seed": seed, "trials": args.trials,
+                        "seed": args.seed, "trials": args.trials,
                         "failures": failures,
                         "status": "pass" if failures == 0 else "fail"})
     return _emit(reports, args.format)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_PRESENTATIONS = {   # kind -> class, constructor fields in order
+    "graph-form": (GraphForm, ("dim", "p", "omega")),
+    "graph-multivector": (GraphMultivector, ("dim", "p", "pi")),
+    "regular": (Regular, ("dim", "p", "axes", "omega")),
+    "scaled-top": (ScaledTop, ("dim", "f", "Omega")),
+}
+
+
 def _load_presentation(path: str):
+    """A JSON object with a "kind", integers "dim" and "p", an integer
+    list "axes", and the kind's expressions as strings."""
     with open(path) as fh:
         spec = json.load(fh)
-    ctx = Context(spec["dim"])
-    kind = spec["kind"]
-    if kind == "graph-form":
-        return GraphForm(spec["dim"], spec["p"],
-                         parse_expression(spec["omega"], ctx)[0])
-    if kind == "graph-multivector":
-        return GraphMultivector(spec["dim"], spec["p"],
-                                parse_expression(spec["pi"], ctx)[0])
-    if kind == "regular":
-        return Regular(spec["dim"], spec["p"], spec["axes"],
-                       parse_expression(spec["omega"], ctx)[0])
-    if kind == "scaled-top":
-        return ScaledTop(spec["dim"], parse_expression(spec["f"], ctx)[0],
-                         parse_expression(spec["Omega"], ctx)[0])
-    raise ValueError(f"unknown presentation kind {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _PRESENTATIONS:
+        raise ValueError("a presentation file must hold a JSON object of "
+                         f"kind {', '.join(_PRESENTATIONS)}")
+    cls, fields = _PRESENTATIONS[kind]
+    values = [spec.get(name) for name in fields]
+    for name, v in zip(fields, values):
+        if not (isinstance(v, list) and all(map(_is_int, v))
+                if name == "axes" else _is_int(v) if name in ("dim", "p")
+                else isinstance(v, str)):
+            raise ValueError(f"presentation field {name!r} has a wrong type")
+    ctx = Context(values[0])
+    return cls(*(parse_expression(v, ctx)[0] if isinstance(v, str) else v
+                 for v in values))
 
 
 def _constant_subspace(P):
@@ -214,8 +231,7 @@ def cmd_check_dirac(args) -> int:
 
 
 def cmd_check_morphism(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     ctx = _context(args.dim)
     with _reading_input():
         sigma = _parse_flag(args.sigma, ctx)
@@ -235,7 +251,7 @@ def cmd_check_morphism(args) -> int:
     for key in ("chain_map", "unary_vs_phi1", "bracket_defect",
                 "jacobiator_defect"):
         sub = rep[key]
-        out = {"command": "check-morphism", "check": key, "seed": seed,
+        out = {"command": "check-morphism", "check": key, "seed": args.seed,
                "trials": args.trials, "sigma_closed": closed,
                "status": sub["status"]}
         if key == "jacobiator_defect" and not closed:
@@ -251,8 +267,7 @@ def cmd_check_morphism(args) -> int:
 
 def cmd_lagrangian_roundtrip(args) -> int:
     _check_order(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     roundtrip_bad = classify_bad = 0
     for _ in range(args.trials):
         L = random_lagrangian(rng, args.dim, args.p)
@@ -267,10 +282,10 @@ def cmd_lagrangian_roundtrip(args) -> int:
             classify_bad += 1
     reports = [
         {"command": "lagrangian-roundtrip", "check": "to_pair-from_pair",
-         "seed": seed, "trials": args.trials, "failures": roundtrip_bad,
+         "seed": args.seed, "trials": args.trials, "failures": roundtrip_bad,
          "status": "pass" if roundtrip_bad == 0 else "fail"},
         {"command": "lagrangian-roundtrip", "check": "classify-agreement",
-         "seed": seed, "trials": args.trials, "failures": classify_bad,
+         "seed": args.seed, "trials": args.trials, "failures": classify_bad,
          "status": "pass" if classify_bad == 0 else "fail"},
     ]
     return _emit(reports, args.format)
@@ -278,8 +293,7 @@ def cmd_lagrangian_roundtrip(args) -> int:
 
 def cmd_multidirac_tiers(args) -> int:
     _check_order(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     n, p = args.dim, args.p
     tier_bad = iso_bad = 0
     for _ in range(args.trials):
@@ -294,10 +308,10 @@ def cmd_multidirac_tiers(args) -> int:
                     iso_bad += 1
     reports = [
         {"command": "multidirac-tiers", "check": "tier-1-is-L",
-         "seed": seed, "trials": args.trials, "failures": tier_bad,
+         "seed": args.seed, "trials": args.trials, "failures": tier_bad,
          "status": "pass" if tier_bad == 0 else "fail"},
         {"command": "multidirac-tiers", "check": "tier-perp-duality",
-         "seed": seed, "trials": args.trials, "failures": iso_bad,
+         "seed": args.seed, "trials": args.trials, "failures": iso_bad,
          "status": "pass" if iso_bad == 0 else "fail"},
     ]
     return _emit(reports, args.format)
@@ -307,8 +321,7 @@ def cmd_oracle_compare(args) -> int:
     _require(args.arity_max is None or args.arity_max <= ORACLE_MAX_ARITY,
              f"--arity-max must be <= {ORACLE_MAX_ARITY}, "
              f"got {args.arity_max}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     ctx = _context(args.dim)
     with _reading_input():
         H = None
@@ -318,7 +331,7 @@ def cmd_oracle_compare(args) -> int:
     reports = []
     facts = derived_check(args.r, ctx, rng, H, samples=min(args.trials, 5))
     reports.append({"command": "oracle-compare", "check": "graded-model",
-                    "pipeline": facts["pipeline"], "seed": seed,
+                    "pipeline": facts["pipeline"], "seed": args.seed,
                     "trials": args.trials,
                     "twist_closed": facts["twist_closed"],
                     "status": facts["status"]})
@@ -329,7 +342,7 @@ def cmd_oracle_compare(args) -> int:
         witnesses = oracle_compare(F, tuples)
         reports.append({"command": "oracle-compare",
                         "check": f"oracle-vs-direct-arity-{n}",
-                        "pipeline": "derived-bracket", "seed": seed,
+                        "pipeline": "derived-bracket", "seed": args.seed,
                         "trials": args.trials,
                         "failures": len(witnesses),
                         "status": "pass" if not witnesses else "fail"})
@@ -395,6 +408,11 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     try:
+        if hasattr(args, "trials"):   # the flags of _common_flags
+            _require(args.trials >= 1,
+                     f"--trials must be >= 1, got {args.trials}")
+            if args.seed is None:
+                args.seed = _default_seed()
         return args.func(args)
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)

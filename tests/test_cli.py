@@ -34,6 +34,12 @@ def test_parse_command_bad_input(capsys):
     ["multidirac-tiers", "--dim", "2", "--p", "3"],
     ["oracle-compare", "--dim", "0"],
     ["oracle-compare", "--arity-max", "9"],
+    ["check-linfty", "--family", "getzler", "--trials", "0"],
+    ["check-morphism", "--sigma", "dx1^dx2", "--trials", "-3"],
+    ["lagrangian-roundtrip", "--trials", "0"],
+    ["lagrangian-roundtrip", "--trials", "-3"],
+    ["multidirac-tiers", "--trials", "0"],
+    ["oracle-compare", "--trials", "-3"],
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -76,6 +82,27 @@ def test_check_dirac_fixture(tmp_path, capsys):
 
 def test_check_dirac_missing_file(capsys):
     assert main(["check-dirac", "--file", "/nonexistent.pres"]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "regular", "dim": "4", "p": 2, "axes": [1, 2],
+     "omega": "dx1^dx2^dx3"},
+    [{"kind": "regular", "dim": 4, "p": 2, "axes": [1, 2],
+      "omega": "dx1^dx2^dx3"}],
+])
+def test_check_dirac_mistyped_file_exits_2(tmp_path, capsys, spec):
+    pres = tmp_path / "bad.pres"
+    pres.write_text(json.dumps(spec))
+    assert main(["check-dirac", "--file", str(pres)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_integer_seed_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("DIRACSPACE_SEED", "abc")
+    assert main(["lagrangian-roundtrip", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "DIRACSPACE_SEED" in err
 
 
 def test_check_morphism_closed(capsys):

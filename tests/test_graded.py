@@ -63,6 +63,53 @@ def test_gbracket_graded_jacobi():
             assert lhs == rhs
 
 
+def _word_gpoly(wrng, r, ctx):
+    """Two polynomial terms on one word of 3-4 distinct generators."""
+    gens = [(k, i) for k in "vpP" for i in range(ctx.dim)]
+    word = tuple(wrng.sample(gens, wrng.randint(3, 4)))
+    return GPoly(r, ctx, {
+        (tuple(wrng.randint(0, 2) for _ in range(ctx.dim)), word):
+            Fraction(wrng.randint(1, 3)) for _ in range(2)})
+
+
+def test_gbracket_leibniz():
+    wrng = random.Random(4711)
+    live = 0
+    for r in (1, 2, 3, 4):
+        for ctx in (ctx3, ctx4):
+            zero_e = (0,) * ctx.dim
+            one = GPoly(r, ctx, {(zero_e, ()): 1})
+            for i in range(ctx.dim):
+                unit = tuple(int(k == i) for k in range(ctx.dim))
+
+                def gen(kind, j=i):
+                    return GPoly(r, ctx, {(zero_e, ((kind, j),)): 1})
+
+                x_i = GPoly(r, ctx, {(unit, ()): 1})
+                assert gbracket(gen("P"), x_i) == one
+                assert gbracket(gen("p"), gen("v")) == one
+                assert gbracket(gen("v"), gen("p")) == \
+                    (-1 if r % 2 else 1) * one
+                j = (i + 1) % ctx.dim
+                assert gbracket(gen("P", j), x_i).is_zero()
+                assert gbracket(gen("p"), gen("v", j)).is_zero()
+            for _ in range(8):
+                # homogeneous a, b, c with a*b and b*c nonzero
+                while True:
+                    a, b, c = (_word_gpoly(wrng, r, ctx) for _ in range(3))
+                    if not (a * b).is_zero() and not (b * c).is_zero():
+                        break
+                da, db, dc = a.degree(), b.degree(), c.degree()
+                s1 = -1 if (db * (dc - r)) % 2 else 1
+                assert gbracket(a * b, c) == \
+                    a * gbracket(b, c) + s1 * gbracket(a, c) * b
+                s2 = -1 if ((da - r) * db) % 2 else 1
+                assert gbracket(a, b * c) == \
+                    gbracket(a, b) * c + s2 * b * gbracket(a, c)
+                live += not gbracket(a, b * c).is_zero()
+    assert live >= 32
+
+
 def test_generator_squares_to_zero():
     for r, ctx in ((2, ctx3), (3, ctx4)):
         S = s_poly(r, ctx)
