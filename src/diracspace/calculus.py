@@ -42,7 +42,12 @@ def _sort_sign(seq, odd=None):
 
 
 class _Graded:
-    """Shared storage for forms and multivectors: degree + component map."""
+    """Shared storage for forms and multivectors: degree + component map.
+
+    ``_prefix`` names the basis ("dx" or "Dx") and is the kind that
+    equality and hashing compare, so subclasses of one kind are equal
+    when their components are.
+    """
 
     __slots__ = ("ctx", "degree", "comps")
 
@@ -64,6 +69,13 @@ class _Graded:
                 clean[idx] = c
         self.comps = clean
 
+    def _like(self, degree: int, comps: dict):
+        """A value of this type from a component map, whatever the
+        subclass's constructor takes."""
+        out = object.__new__(type(self))
+        _Graded.__init__(out, self.ctx, degree, comps)
+        return out
+
     def is_zero(self) -> bool:
         return not self.comps
 
@@ -72,14 +84,15 @@ class _Graded:
             raise ValueError("context mismatch")
 
     def __eq__(self, other) -> bool:
-        if type(self) is not type(other) or self.ctx != other.ctx:
+        if (not isinstance(other, _Graded) or self._prefix != other._prefix
+                or self.ctx != other.ctx):
             return False
         if self.is_zero() and other.is_zero():
             return True
         return self.degree == other.degree and self.comps == other.comps
 
     def __hash__(self):
-        return hash((type(self), self.ctx, frozenset(self.comps.items())))
+        return hash((self._prefix, self.ctx, frozenset(self.comps.items())))
 
     def __add__(self, other):
         self._check(other)
@@ -92,10 +105,10 @@ class _Graded:
         comps = dict(self.comps)
         for idx, c in other.comps.items():
             comps[idx] = comps.get(idx, Poly.zero(self.ctx)) + c
-        return type(self)(self.ctx, self.degree, comps)
+        return self._like(self.degree, comps)
 
     def __neg__(self):
-        return type(self)(self.ctx, self.degree, {i: -c for i, c in self.comps.items()})
+        return self._like(self.degree, {i: -c for i, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -104,20 +117,19 @@ class _Graded:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(self.ctx, other)
         if isinstance(other, Poly):
-            return type(self)(
-                self.ctx, self.degree, {i: c * other for i, c in self.comps.items()}
-            )
+            return self._like(
+                self.degree, {i: c * other for i, c in self.comps.items()})
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def _str(self, basis_prefix: str) -> str:
+    def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for idx in sorted(self.comps):
             c = self.comps[idx]
-            basis = "^".join(f"{basis_prefix}{i}" for i in idx)
+            basis = "^".join(f"{self._prefix}{i}" for i in idx)
             if not basis:
                 parts.append(str(c))
             elif c == Poly.constant(self.ctx, 1):
@@ -128,9 +140,14 @@ class _Graded:
                 parts.append(f"({c})*{basis}")
         return " + ".join(parts)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
 
 class Form(_Graded):
     """Differential k-form; components indexed by increasing tuples."""
+
+    _prefix = "dx"
 
     @staticmethod
     def zero(ctx: Context, degree: int = 0) -> "Form":
@@ -152,14 +169,13 @@ class Form(_Graded):
     def __str__(self) -> str:
         if self.degree == 0 and not self.is_zero():
             return str(self.to_poly())
-        return self._str("dx")
-
-    def __repr__(self) -> str:
-        return f"Form({self})"
+        return super().__str__()
 
 
 class MultiVec(_Graded):
     """Multivector field of degree q."""
+
+    _prefix = "Dx"
 
     @staticmethod
     def zero(ctx: Context, degree: int = 0) -> "MultiVec":
@@ -174,31 +190,13 @@ class MultiVec(_Graded):
             raise ValueError("not a 1-vector")
         return VField(self.ctx, {i[0]: c for i, c in self.comps.items()})
 
-    def __str__(self) -> str:
-        return self._str("Dx")
 
-    def __repr__(self) -> str:
-        return f"MultiVec({self})"
-
-
-class VField:
-    """Vector field; components are coefficients of d/dx_i."""
-
-    __slots__ = ("ctx", "comps")
+class VField(MultiVec):
+    """Vector field: the degree-1 MultiVec, built from the coefficients
+    of d/dx_i as {i: coefficient}.  Its sums and multiples stay VFields."""
 
     def __init__(self, ctx: Context, comps: dict | None = None):
-        self.ctx = ctx
-        clean: dict = {}
-        if comps:
-            for i, c in comps.items():
-                if isinstance(c, (int, Fraction)):
-                    c = Poly.constant(ctx, c)
-                if c.is_zero():
-                    continue
-                if not 1 <= i <= ctx.dim:
-                    raise ValueError(f"axis {i} out of range")
-                clean[i] = c
-        self.comps = clean
+        super().__init__(ctx, 1, {(i,): c for i, c in (comps or {}).items()})
 
     @staticmethod
     def zero(ctx: Context) -> "VField":
@@ -208,60 +206,18 @@ class VField:
     def basis(ctx: Context, i: int) -> "VField":
         return VField(ctx, {i: Poly.constant(ctx, 1)})
 
-    def is_zero(self) -> bool:
-        return not self.comps
-
     def component(self, i: int) -> Poly:
-        return self.comps.get(i, Poly.zero(self.ctx))
+        return self.comps.get((i,), Poly.zero(self.ctx))
 
     def to_multivec(self) -> MultiVec:
-        return MultiVec(self.ctx, 1, {(i,): c for i, c in self.comps.items()})
+        return MultiVec(self.ctx, 1, self.comps)
 
     def __call__(self, f: Poly) -> Poly:
         """Directional derivative X(f)."""
         out = Poly.zero(self.ctx)
-        for i, c in self.comps.items():
+        for (i,), c in self.comps.items():
             out = out + c * f.partial(i)
         return out
-
-    def __add__(self, other: "VField") -> "VField":
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        comps = dict(self.comps)
-        for i, c in other.comps.items():
-            comps[i] = comps.get(i, Poly.zero(self.ctx)) + c
-        return VField(self.ctx, comps)
-
-    def __neg__(self) -> "VField":
-        return VField(self.ctx, {i: -c for i, c in self.comps.items()})
-
-    def __sub__(self, other: "VField") -> "VField":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.ctx, other)
-        if isinstance(other, Poly):
-            return VField(self.ctx, {i: c * other for i, c in self.comps.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VField)
-            and self.ctx == other.ctx
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.comps.items())))
-
-    def __str__(self) -> str:
-        return self.to_multivec()._str("Dx")
-
-    def __repr__(self) -> str:
-        return f"VField({self})"
 
 
 # ---------------------------------------------------------------------
@@ -326,14 +282,12 @@ def _contract_into(outer: dict, inner: dict, ctx: Context) -> dict:
     return out
 
 
-def contract(Y, a: Form) -> Form:
-    """Interior product iota_Y a for Y a VField or MultiVec.
+def contract(Y: MultiVec, a: Form) -> Form:
+    """Interior product iota_Y a for Y a multivector (a VField included).
 
     Decomposable multivectors contract first-factor-first; the convention
     test iota_{D1^D2}(dx1^dx2^dx3) = dx3 pins the sign.
     """
-    if isinstance(Y, VField):
-        Y = Y.to_multivec()
     Y._check(a)
     deg = a.degree - Y.degree
     if deg < 0:
@@ -441,13 +395,13 @@ def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
                     br = lie_bracket(xs[i], ys[j])
                     if br.is_zero():
                         continue
-                    rest = br.to_multivec()
+                    rest = br
                     for t, v in enumerate(xs):
                         if t != i:
-                            rest = mv_wedge(rest, v.to_multivec())
+                            rest = mv_wedge(rest, v)
                     for t, v in enumerate(ys):
                         if t != j:
-                            rest = mv_wedge(rest, v.to_multivec())
+                            rest = mv_wedge(rest, v)
                     sgn = -1 if (i + j) % 2 else 1
                     out = out + sgn * rest
     return out

@@ -4,7 +4,8 @@ Each subcommand runs a verification suite from the library and emits one
 flat report object per check (JSON lines, or a text summary).  Reports
 always carry the seed and trial count, so a run is reproducible from its
 own output.  Exit codes: 0 all checks pass, 1 at least one check fails,
-2 bad input: a file error, a parse error or an out-of-range argument.
+2 bad input: a file error, a parse error, an out-of-range argument or an
+expression of the wrong kind.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .calculus import Form, deRham
+from .calculus import Form, MultiVec, deRham
 from .courant import SectionEp
 from .graded import ORACLE_MAX_ARITY, derived_check, oracle_compare
 from .lagrangian import (LinSubspace, classify, from_pair, multidirac_tier,
@@ -79,9 +80,16 @@ def _read_source(value: str) -> str:
     return value
 
 
-def _parse_flag(value: str, ctx: Context, p: int | None = None):
-    src = _read_source(value)
-    return parse_expression(src, ctx, p)[0]
+def _expression(src: str, ctx: Context, kind: type, name: str):
+    """Parse ``src`` and require a value of type ``kind``."""
+    value = parse_expression(src, ctx)[0]
+    _require(isinstance(value, kind), f"{name} must be a {kind.__name__}, "
+             f"got the {type(value).__name__} {value}")
+    return value
+
+
+def _parse_flag(value: str, ctx: Context, kind: type, name: str):
+    return _expression(_read_source(value), ctx, kind, name)
 
 
 def _emit(reports, fmt: str) -> int:
@@ -127,7 +135,7 @@ def _linfty_family(args, rng):
     ctx = _context(args.dim)
     if args.family == "observables":
         if args.omega is not None:
-            omega = _parse_flag(args.omega, ctx)
+            omega = _parse_flag(args.omega, ctx, Form, "--omega")
         elif args.dim == args.p + 1:
             omega = Form(ctx, args.p + 1,
                          {tuple(ctx.axes()): Poly.constant(ctx, 1)})
@@ -137,7 +145,7 @@ def _linfty_family(args, rng):
         return F, args.p, lambda: random_observables_elem(rng, F)
     H = None
     if args.H is not None and args.H.strip() != "0":
-        H = _parse_flag(args.H, ctx)
+        H = _parse_flag(args.H, ctx, Form, "--H")
     F = TwistedSectionsFamily(args.r, ctx, H,
                               allow_nonclosed=args.allow_nonclosed)
     return F, args.r, lambda: random_twisted_elem(rng, F)
@@ -166,17 +174,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_PRESENTATIONS = {   # kind -> class, constructor fields in order
-    "graph-form": (GraphForm, ("dim", "p", "omega")),
-    "graph-multivector": (GraphMultivector, ("dim", "p", "pi")),
-    "regular": (Regular, ("dim", "p", "axes", "omega")),
-    "scaled-top": (ScaledTop, ("dim", "f", "Omega")),
+_PRESENTATIONS = {   # kind -> class, constructor fields and their types
+    "graph-form": (GraphForm, (("dim", int), ("p", int), ("omega", Form))),
+    "graph-multivector": (GraphMultivector,
+                          (("dim", int), ("p", int), ("pi", MultiVec))),
+    "regular": (Regular, (("dim", int), ("p", int), ("axes", list),
+                          ("omega", Form))),
+    "scaled-top": (ScaledTop, (("dim", int), ("f", Poly), ("Omega", Form))),
 }
 
 
 def _load_presentation(path: str):
     """A JSON object with a "kind", integers "dim" and "p", an integer
-    list "axes", and the kind's expressions as strings."""
+    list "axes", and the kind's expressions as strings that parse to
+    the field's type."""
     with open(path) as fh:
         spec = json.load(fh)
     kind = spec.get("kind") if isinstance(spec, dict) else None
@@ -184,15 +195,16 @@ def _load_presentation(path: str):
         raise ValueError("a presentation file must hold a JSON object of "
                          f"kind {', '.join(_PRESENTATIONS)}")
     cls, fields = _PRESENTATIONS[kind]
-    values = [spec.get(name) for name in fields]
-    for name, v in zip(fields, values):
-        if not (isinstance(v, list) and all(map(_is_int, v))
-                if name == "axes" else _is_int(v) if name in ("dim", "p")
+    values = [spec.get(name) for name, _ in fields]
+    for (name, typ), v in zip(fields, values):
+        if not (_is_int(v) if typ is int else
+                isinstance(v, list) and all(map(_is_int, v)) if typ is list
                 else isinstance(v, str)):
             raise ValueError(f"presentation field {name!r} has a wrong type")
     ctx = Context(values[0])
-    return cls(*(parse_expression(v, ctx)[0] if isinstance(v, str) else v
-                 for v in values))
+    return cls(*(_expression(v, ctx, typ, f"presentation field {name!r}")
+                 if isinstance(v, str) else v
+                 for (name, typ), v in zip(fields, values)))
 
 
 def _constant_subspace(P):
@@ -203,7 +215,7 @@ def _constant_subspace(P):
         polys = list(e.X.comps.values()) + list(e.alpha.comps.values())
         if not all(c.is_constant() for c in polys):
             return None
-        elems.append((e.X.to_multivec(), e.alpha))
+        elems.append((e.X, e.alpha))
     return LinSubspace.from_elements(P.n, P.p, elems)
 
 
@@ -234,9 +246,8 @@ def cmd_check_morphism(args) -> int:
     rng = random.Random(args.seed)
     ctx = _context(args.dim)
     with _reading_input():
-        sigma = _parse_flag(args.sigma, ctx)
-    _require(isinstance(sigma, Form) and sigma.degree == 2,
-             "--sigma must be a 2-form")
+        sigma = _parse_flag(args.sigma, ctx, Form, "--sigma")
+    _require(sigma.degree == 2, "--sigma must be a 2-form")
 
     def rand_e0():
         return SectionEp(0, random_vfield(rng, ctx, max_deg=1),
@@ -326,7 +337,7 @@ def cmd_oracle_compare(args) -> int:
     with _reading_input():
         H = None
         if args.H is not None and args.H.strip() != "0":
-            H = _parse_flag(args.H, ctx)
+            H = _parse_flag(args.H, ctx, Form, "--H")
         F = TwistedSectionsFamily(args.r, ctx, H, allow_nonclosed=True)
     reports = []
     facts = derived_check(args.r, ctx, rng, H, samples=min(args.trials, 5))

@@ -161,7 +161,7 @@ class SectionPr:
 
     @staticmethod
     def from_section(e: SectionEp) -> "SectionPr":
-        return SectionPr(e.p, 1, e.X.to_multivec(), e.alpha)
+        return SectionPr(e.p, 1, e.X, e.alpha)
 
     def to_section(self) -> SectionEp:
         if self.r != 1:

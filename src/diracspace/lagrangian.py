@@ -80,7 +80,7 @@ def wedge_covectors(ctx: Context, rows, k: int) -> list[Form]:
 
 def wedge_vectors(ctx: Context, rows, k: int) -> list[MultiVec]:
     """All k-fold wedges of the given constant vectors."""
-    ones = [const_vfield(ctx, row).to_multivec() for row in rows]
+    ones = [const_vfield(ctx, row) for row in rows]
     out = []
     for combo in itertools.combinations(ones, k):
         w = MultiVec(ctx, 0, {(): Poly.constant(ctx, 1)})
@@ -440,7 +440,7 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     elems = []
     for s in S:
         X = const_vfield(ctx, s)
-        elems.append((X.to_multivec(), contract(X, omega)))
+        elems.append((X, contract(X, omega)))
     for xi in wedge_covectors(ctx, annihilator(n, S), p):
         elems.append((MultiVec.zero(ctx, 1), xi))
     return LinSubspace.from_elements(n, p, elems, 1)
@@ -484,7 +484,7 @@ def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
     elems = []
     seen = set()
     for s in S:
-        sv = const_vfield(ctx, s).to_multivec()
+        sv = const_vfield(ctx, s)
         for K in _tuples(n, r - 1):
             Y = mv_wedge(sv, MultiVec.basis(ctx, K)) if r > 1 else sv
             if Y.is_zero():
@@ -517,7 +517,7 @@ def nambu_dirac_check(L: LinSubspace) -> dict:
     S = L.tangent_part()
     iso_weak = True
     for (Y1, a1), (Y2, a2) in itertools.product(mem, repeat=2):
-        pr = contract(Y1.to_vfield(), a2) + contract(Y2.to_vfield(), a1)
+        pr = contract(Y1, a2) + contract(Y2, a1)
         for combo in itertools.combinations(S, p - 1):
             if form_eval(pr, list(combo)) != 0:
                 iso_weak = False

@@ -227,20 +227,19 @@ class TwistedSectionsFamily(MultibracketFamily):
       [xi, X1, X2] = -1/6 (1/2 (i_{X1} L_{X2} - i_{X2} L_{X1})
                            + i_{[X1,X2]} (+ i_{X1} i_{X2} d)) xi
 
-    where the i_{X1} i_{X2} d term is always present when xi has top
-    degree r-1 and is controlled by ``xi_full`` on lower degrees.  Even
+    where the i_{X1} i_{X2} d term is present when xi is the form part
+    of a section (degree r-1) and absent on the lower forms.  Even
     arities >= 4 vanish (odd Bernoulli numbers are zero).
     """
 
     def __init__(self, r: int, ctx: Context, H: Form | None = None,
-                 allow_nonclosed: bool = False, xi_full: bool = False):
+                 allow_nonclosed: bool = False):
         if r < 1:
             raise ValueError("order r must be >= 1")
         self.r = r
         self.ctx = ctx
         self.depth = r - 1
         self.max_arity = r + 1
-        self.xi_full = xi_full
         if H is None:
             H = Form.zero(ctx, r + 1)
         if not H.is_zero() and H.degree != r + 1:
@@ -332,10 +331,9 @@ class TwistedSectionsFamily(MultibracketFamily):
             sgn = -1 if pos % 2 else 1
             if n == 3:
                 return self._clamp(out_deg,
-                                   sgn * self._tri(xi, Xs[0], Xs[1],
-                                                   self.xi_full))
+                                   sgn * self._tri(xi, Xs[0], Xs[1], False))
             return self._clamp(out_deg,
-                               sgn * self._nary_form(xi, Xs, self.xi_full))
+                               sgn * self._nary_form(xi, Xs, False))
         Xs = [a.payload.X for a in args]
         acc = Form.zero(self.ctx)
         for i in range(n):

@@ -7,7 +7,10 @@ parentheses; whitespace-insensitive.  ``parse_expression`` classifies
 the normalized result as a Poly, Form, VField, MultiVec or (given the
 order p) a SectionEp.  Nilpotent squares such as ``dx1^dx1`` normalize
 to zero with a warning.  The canonical printers are the classes' str();
-parse o print o parse = parse.
+parse o print o parse = parse.  Parentheses and unary minus signs nest at
+most ``MAX_DEPTH`` deep and a power ``^n`` has ``n <= MAX_EXPONENT``;
+beyond either, and on a zero denominator, parsing stops with a
+positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from fractions import Fraction
 from .calculus import Form, MultiVec, VField, _sort_sign
 from .courant import SectionEp
 from .poly import Context, Poly
+
+MAX_DEPTH = 100     # nested parentheses and unary minus signs
+MAX_EXPONENT = 64   # largest n in a power x^n
 
 
 class ParseError(ValueError):
@@ -36,9 +42,12 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _index(text: str) -> int:
-    digits = text.strip("{}")
-    return int(digits)
+def _integer(digits: str, line: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:   # more digits than int() converts
+        raise ParseError(f"number of {len(digits)} digits is too long",
+                         line, col) from None
 
 
 def tokenize(src: str):
@@ -125,6 +134,7 @@ class _Parser:
         self.tokens = tokenize(src)
         self.ctx = ctx
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,6 +147,12 @@ class _Parser:
     def error(self, message):
         _, _, line, col = self.peek()
         raise ParseError(message, line, col)
+
+    def descend(self):
+        """Enter one more level of nesting at the current token."""
+        if self.depth == MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels")
+        self.depth += 1
 
     def parse(self) -> _Terms:
         out = self.sum_expr()
@@ -170,15 +186,22 @@ class _Parser:
     def power(self) -> _Terms:
         # unary minus binds looser than a power: -x1^2 is -(x1^2)
         if self.peek()[:2] == ("op", "-"):
+            self.descend()
             self.next()
-            return -self.power()
+            out = -self.power()
+            self.depth -= 1
+            return out
         base = self.atom()
         # x1^2 means a square: ^ followed by a bare integer is a power
         if (self.peek()[:2] == ("op", "^")
                 and self.tokens[self.pos + 1][0] == "num"
                 and "/" not in self.tokens[self.pos + 1][1]):
             self.next()
-            k = int(self.next()[1])
+            _, digits, line, col = self.next()
+            k = _integer(digits, line, col)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
+                                 line, col)
             out = _Terms.scalar(self.ctx, Poly.constant(self.ctx, 1))
             for _ in range(k):
                 out = out * base
@@ -189,31 +212,33 @@ class _Parser:
         kind, text, line, col = self.peek()
         if kind == "num":
             self.next()
-            if "/" in text:
-                a, b = text.split("/")
-                val = Fraction(int(a), int(b))
-            else:
-                val = Fraction(int(text))
+            a, _, b = text.partition("/")
+            den = _integer(b, line, col) if b else 1
+            if den == 0:
+                raise ParseError("division by zero", line, col)
+            val = Fraction(_integer(a, line, col), den)
             return _Terms.scalar(self.ctx, Poly.constant(self.ctx, val))
         if kind == "var":
             self.next()
-            i = _index(text[1:])
+            i = _integer(text[1:].strip("{}"), line, col)
             if not 1 <= i <= self.ctx.dim:
                 raise ParseError(f"unknown variable {text}", line, col)
             return _Terms.scalar(self.ctx, Poly.variable(self.ctx, i))
         if kind in ("dx", "ddx"):
             self.next()
-            i = _index(text[2:])
+            i = _integer(text[2:].strip("{}"), line, col)
             if not 1 <= i <= self.ctx.dim:
                 raise ParseError(f"unknown basis index {text}", line, col)
             return _Terms.generator(self.ctx, "dx" if kind == "dx" else "Dx",
                                     i)
         if (kind, text) == ("op", "("):
+            self.descend()
             self.next()
             out = self.sum_expr()
             if self.peek()[:2] != ("op", ")"):
                 self.error("expected ')'")
             self.next()
+            self.depth -= 1
             return out
         self.error(f"unexpected token {text!r}" if text else "unexpected end "
                    "of input")

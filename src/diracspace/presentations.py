@@ -119,7 +119,7 @@ class GraphMultivector(Presentation):
 
     def member(self, e: SectionEp) -> bool:
         self._check(e)
-        return iota_form(e.alpha, self.pi) == e.X.to_multivec()
+        return iota_form(e.alpha, self.pi) == e.X
 
 
 class Regular(Presentation):

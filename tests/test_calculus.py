@@ -158,3 +158,21 @@ def test_sort_sign_matches_brute_force():
                 assert _sort_sign(word, odd) == want, (word, mask)
                 if mask == 2 ** n - 1:
                     assert _sort_sign(word) == want, word
+
+
+def test_vfield_equals_its_degree_one_multivec():
+    ctx = Context(3)
+    for i in ctx.axes():
+        X, Y = VField.basis(ctx, i), MultiVec.basis(ctx, (i,))
+        assert X == Y and Y == X and hash(X) == hash(Y)
+        assert X != Form.basis(ctx, (i,)) and Y != Form.basis(ctx, (i,))
+    assert MultiVec.zero(ctx, 1) != Form.zero(ctx, 1)
+    local = random.Random(5)
+    for _ in range(10):
+        X = random_vfield(local, ctx)
+        Y = X.to_multivec()
+        assert type(Y) is MultiVec and Y == X and hash(Y) == hash(X)
+        assert {Y: 1}[X] == 1
+        assert X + Y == 2 * X == Y + X
+        a = random_form(local, ctx, 2)
+        assert contract(X, a) == contract(Y, a)

@@ -19,6 +19,16 @@ def test_parse_command(capsys):
     assert reports[0]["schema"] == 1
 
 
+@pytest.mark.parametrize("expr, kind", [
+    ("Dx1", "VField"), ("x2*Dx1 + -1*Dx3", "VField"),
+    ("Dx1^Dx2", "MultiVec"),
+])
+def test_parse_reports_kind(capsys, expr, kind):
+    code, reports = run_cli(capsys, "parse", expr, "--dim", "3")
+    assert code == 0
+    assert reports[0]["kind"] == kind and reports[0]["normalized"] == expr
+
+
 def test_parse_command_bad_input(capsys):
     assert main(["parse", "x1 $", "--dim", "3"]) == 2
 
@@ -40,6 +50,19 @@ def test_parse_command_bad_input(capsys):
     ["lagrangian-roundtrip", "--trials", "-3"],
     ["multidirac-tiers", "--trials", "0"],
     ["oracle-compare", "--trials", "-3"],
+    ["oracle-compare", "--H", "x1"],
+    ["oracle-compare", "--H", "Dx1"],
+    ["oracle-compare", "--r", "2", "--H", "Dx1^Dx2^Dx3"],
+    ["check-linfty", "--family", "observables", "--p", "3", "--dim", "4",
+     "--omega", "x1"],
+    ["check-linfty", "--family", "observables", "--p", "2", "--omega", "0"],
+    ["check-linfty", "--family", "getzler", "--H", "Dx1"],
+    ["check-linfty", "--family", "getzler", "--r", "2", "--H",
+     "Dx1^Dx2^Dx3"],
+    ["check-morphism", "--sigma", "Dx1^Dx2"],
+    ["parse", "1/0"],
+    ["parse", "(" * 5000 + "x1" + ")" * 5000],
+    ["parse", "x1^1000000"],
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -89,6 +112,10 @@ def test_check_dirac_missing_file(capsys):
      "omega": "dx1^dx2^dx3"},
     [{"kind": "regular", "dim": 4, "p": 2, "axes": [1, 2],
       "omega": "dx1^dx2^dx3"}],
+    {"kind": "graph-form", "dim": 3, "p": 1, "omega": "x1"},
+    {"kind": "graph-form", "dim": 3, "p": 1, "omega": "Dx1^Dx2"},
+    {"kind": "graph-multivector", "dim": 3, "p": 1, "pi": "Dx1"},
+    {"kind": "scaled-top", "dim": 3, "f": "dx1", "Omega": "dx1^dx2^dx3"},
 ])
 def test_check_dirac_mistyped_file_exits_2(tmp_path, capsys, spec):
     pres = tmp_path / "bad.pres"

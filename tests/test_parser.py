@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracspace.poly import Context, Poly
 from diracspace.calculus import Form, MultiVec, VField
 from diracspace.courant import SectionEp
-from diracspace.parser import ParseError, parse_expression
+from diracspace.parser import (MAX_DEPTH, MAX_EXPONENT, ParseError,
+                               parse_expression)
 from diracspace.sampling import (random_form, random_multivec, random_poly,
                                  random_vfield)
 
@@ -115,7 +117,8 @@ def test_whitespace_insensitive():
 def test_errors_carry_position():
     ctx = Context(3)
     cases = ["x1 +", "dx1^Dx2", "dx1 + dx1^dx2", "(x1", "x1 $", "x4",
-             "dx9", "x1 x2"]
+             "dx9", "x1 x2", "1/0", "(" * 5000 + "x1" + ")" * 5000,
+             "x1^1000000", "9" * 5000]
     for src in cases:
         with pytest.raises(ParseError) as exc:
             parse_expression(src, ctx)
@@ -127,3 +130,58 @@ def test_error_column_points_at_problem():
     with pytest.raises(ParseError) as exc:
         parse_expression("x1 $", ctx)
     assert exc.value.col == 4
+
+
+def test_degree_one_multivec_roundtrip():
+    # a parsed Dx-sum is a VField, which equals the MultiVec it prints from
+    local = random.Random(4711)
+    count = 0
+    while count < 200:
+        ctx = Context(local.randint(1, 4))
+        Y = random_multivec(local, ctx, 1, max_deg=2)
+        if Y.is_zero():
+            continue
+        roundtrip(Y, ctx)
+        count += 1
+
+
+def test_limits_are_inclusive():
+    ctx = Context(2)
+    nested = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_expression(nested, ctx)[0] == Poly.variable(ctx, 1)
+    with pytest.raises(ParseError):
+        parse_expression("(" + nested + ")", ctx)
+    power, _ = parse_expression(f"x2^{MAX_EXPONENT}", ctx)
+    assert power == Poly(ctx, {(0, MAX_EXPONENT): Fraction(1)})
+    with pytest.raises(ParseError) as exc:
+        parse_expression(f"x2^{MAX_EXPONENT + 1}", ctx)
+    assert exc.value.col == 4
+
+
+_TOKENS = ["x1", "x2", "x3", "dx1", "dx2", "dx3", "Dx1", "Dx2", "Dx3",
+           "0", "1", "2", "3", "/", "^", "*", "+", "-", "(", ")", " "]
+
+_NUMBERS = st.integers(0, 3).map(str)
+
+_ATOMS = (st.sampled_from(_TOKENS[:9]) | _NUMBERS
+          | st.tuples(_NUMBERS, _NUMBERS).map("/".join))
+
+
+def _compound(inner):
+    return (st.tuples(inner, st.sampled_from("+-*^"), inner).map("".join)
+            | inner.map("({})".format) | inner.map("-{}".format)
+            | st.tuples(inner, _NUMBERS).map("({0[0]})^{0[1]}".format))
+
+
+# well-formed expressions over the tokens, and arbitrary token strings
+_SOURCES = (st.recursive(_ATOMS, _compound, max_leaves=10)
+            | st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(_SOURCES, st.sampled_from([None, 0, 1, 2, 3]))
+def test_token_strings_parse_or_raise_parse_error(src, p):
+    try:
+        parse_expression(src, Context(3), p)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.col >= 1
