@@ -28,7 +28,8 @@ from .linfty import (ObservablesFamily, TwistedSectionsFamily,
                      check_prequantum_morphism, check_relation)
 from .parser import parse_expression
 from .poly import Context, Poly
-from .presentations import GraphForm, GraphMultivector, Regular, ScaledTop
+from .presentations import (GraphForm, GraphMultivector, NotHamiltonian,
+                            Regular, ScaledTop)
 from .sampling import (random_observables_elem, random_poly,
                        random_twisted_elem, random_vfield)
 
@@ -81,8 +82,11 @@ def _read_source(value: str) -> str:
 
 
 def _expression(src: str, ctx: Context, kind: type, name: str):
-    """Parse ``src`` and require a value of type ``kind``."""
+    """Parse ``src`` and require a value of type ``kind``; where a Form
+    is required, a value that parses to zero is the zero form."""
     value = parse_expression(src, ctx)[0]
+    if kind is Form and isinstance(value, Poly) and value.is_zero():
+        value = Form.zero(ctx)
     _require(isinstance(value, kind), f"{name} must be a {kind.__name__}, "
              f"got the {type(value).__name__} {value}")
     return value
@@ -136,16 +140,24 @@ def _linfty_family(args, rng):
     if args.family == "observables":
         if args.omega is not None:
             omega = _parse_flag(args.omega, ctx, Form, "--omega")
+            _require(deRham(omega).is_zero(),
+                     f"--omega must be closed, got {omega}")
         elif args.dim == args.p + 1:
             omega = Form(ctx, args.p + 1,
                          {tuple(ctx.axes()): Poly.constant(ctx, 1)})
         else:
             raise ValueError("supply --omega unless dim = p + 1")
         F = ObservablesFamily(GraphForm(args.dim, args.p, omega))
-        return F, args.p, lambda: random_observables_elem(rng, F)
-    H = None
-    if args.H is not None and args.H.strip() != "0":
-        H = _parse_flag(args.H, ctx, Form, "--H")
+
+        def rand_elem():
+            try:
+                return random_observables_elem(rng, F)
+            except NotHamiltonian as exc:
+                raise _BadInput(f"--omega {omega} cannot be sampled: "
+                                f"{exc}") from exc
+        return F, args.p, rand_elem
+    H = (_parse_flag(args.H, ctx, Form, "--H") if args.H is not None
+         else None)
     F = TwistedSectionsFamily(args.r, ctx, H,
                               allow_nonclosed=args.allow_nonclosed)
     return F, args.r, lambda: random_twisted_elem(rng, F)
@@ -335,9 +347,8 @@ def cmd_oracle_compare(args) -> int:
     rng = random.Random(args.seed)
     ctx = _context(args.dim)
     with _reading_input():
-        H = None
-        if args.H is not None and args.H.strip() != "0":
-            H = _parse_flag(args.H, ctx, Form, "--H")
+        H = (_parse_flag(args.H, ctx, Form, "--H") if args.H is not None
+             else None)
         F = TwistedSectionsFamily(args.r, ctx, H, allow_nonclosed=True)
     reports = []
     facts = derived_check(args.r, ctx, rng, H, samples=min(args.trials, 5))

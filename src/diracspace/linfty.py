@@ -34,6 +34,7 @@ from .courant import SectionEp, courant, pairing
 from .poly import Context, bernoulli
 from .presentations import (
     HamiltonianDatum,
+    NotHamiltonian,
     Presentation,
     ham_bracket,
     hamiltonian_solve,
@@ -179,7 +180,7 @@ class ObservablesFamily(MultibracketFamily):
         if X is None:
             X = hamiltonian_solve(self.P, alpha)
             if X is None:
-                raise ValueError("alpha is not Hamiltonian")
+                raise NotHamiltonian("alpha is not Hamiltonian")
         return GradedElem(0, HamiltonianDatum(self.P, alpha, X))
 
     def form(self, degree: int, xi: Form) -> GradedElem:
@@ -478,7 +479,7 @@ def prequantization(P, alpha: Form) -> SectionEp:
         raise ValueError("prequantization needs a two-form graph (order 1)")
     X = hamiltonian_solve(P, alpha)
     if X is None:
-        raise ValueError("alpha is not Hamiltonian")
+        raise NotHamiltonian("alpha is not Hamiltonian")
     return SectionEp(0, X, -alpha)
 
 

@@ -8,9 +8,10 @@ the normalized result as a Poly, Form, VField, MultiVec or (given the
 order p) a SectionEp.  Nilpotent squares such as ``dx1^dx1`` normalize
 to zero with a warning.  The canonical printers are the classes' str();
 parse o print o parse = parse.  Parentheses and unary minus signs nest at
-most ``MAX_DEPTH`` deep and a power ``^n`` has ``n <= MAX_EXPONENT``;
-beyond either, and on a zero denominator, parsing stops with a
-positioned ``ParseError``.
+most ``MAX_DEPTH`` deep, a power ``^n`` has ``n <= MAX_EXPONENT``, and a
+product (each step of a power included) multiplies out at most
+``MAX_TERMS`` pairs of terms; beyond any of these, and on a zero
+denominator, parsing stops with a positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .poly import Context, Poly
 
 MAX_DEPTH = 100     # nested parentheses and unary minus signs
 MAX_EXPONENT = 64   # largest n in a power x^n
+MAX_TERMS = 10_000  # term pairs one product multiplies out
 
 
 class ParseError(ValueError):
@@ -92,6 +94,10 @@ class _Terms:
         key = ((i,), ()) if kind == "dx" else ((), (i,))
         return _Terms(ctx, {key: Poly.constant(ctx, 1)})
 
+    def size(self) -> int:
+        """Number of monomial terms over all coefficients."""
+        return sum(len(c.terms) for c in self.terms.values())
+
     def _put(self, out, key, c):
         if key in out:
             out[key] = out[key] + c
@@ -148,6 +154,14 @@ class _Parser:
         _, _, line, col = self.peek()
         raise ParseError(message, line, col)
 
+    def multiply(self, a: _Terms, b: _Terms, line: int, col: int) -> _Terms:
+        """``a * b``, refused when it would multiply out more than
+        ``MAX_TERMS`` pairs of terms."""
+        if a.size() * b.size() > MAX_TERMS:
+            raise ParseError(f"product of {a.size()} by {b.size()} terms "
+                             f"exceeds {MAX_TERMS}", line, col)
+        return a * b
+
     def descend(self):
         """Enter one more level of nesting at the current token."""
         if self.depth == MAX_DEPTH:
@@ -179,8 +193,8 @@ class _Parser:
     def term(self) -> _Terms:
         out = self.power()
         while self.peek()[0] == "op" and self.peek()[1] in ("*", "^"):
-            self.next()
-            out = out * self.power()
+            _, _, line, col = self.next()
+            out = self.multiply(out, self.power(), line, col)
         return out
 
     def power(self) -> _Terms:
@@ -204,7 +218,7 @@ class _Parser:
                                  line, col)
             out = _Terms.scalar(self.ctx, Poly.constant(self.ctx, 1))
             for _ in range(k):
-                out = out * base
+                out = self.multiply(out, base, line, col)
             return out
         return base
 

@@ -64,6 +64,15 @@ class Poly:
                 clean[tuple(exp)] = c
         self.terms = clean
 
+    @staticmethod
+    def _raw(ctx: Context, terms: dict) -> "Poly":
+        """Trusted constructor for arithmetic results: ``terms`` already
+        maps valid exponent tuples to nonzero Fractions."""
+        out = object.__new__(Poly)
+        out.ctx = ctx
+        out.terms = terms
+        return out
+
     # -- constructors -------------------------------------------------
 
     @staticmethod
@@ -98,6 +107,9 @@ class Poly:
         return next(iter(self.terms.values()))
 
     # -- arithmetic ---------------------------------------------------
+    # Results are built with _raw: sums and decrements of valid exponent
+    # vectors are valid, and every zero coefficient is dropped where it
+    # arises, so no result needs the public constructor's checks.
 
     def _check(self, other: "Poly"):
         if self.ctx != other.ctx:
@@ -107,28 +119,45 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Poly(self.ctx, terms)
+            if exp in terms:
+                s = terms[exp] + c
+                if s:
+                    terms[exp] = s
+                else:
+                    del terms[exp]
+            else:
+                terms[exp] = c
+        return Poly._raw(self.ctx, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.ctx, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            if other == 0:
+                return Poly._raw(self.ctx, {})
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             c = _as_rat(other)
-            return Poly(self.ctx, {e: c * v for e, v in self.terms.items()})
+            return Poly._raw(self.ctx,
+                             {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
         terms: dict = {}
+        get = terms.get
+        add = int.__add__
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.ctx, terms)
+                e = tuple(map(add, e1, e2))
+                prev = get(e)
+                terms[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return Poly._raw(self.ctx, {e: c for e, c in terms.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -147,16 +176,15 @@ class Poly:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"axis {i} out of range 1..{self.ctx.dim}")
+        # lowering one axis is injective on the terms that have it, so
+        # each result term comes from exactly one input term
         terms: dict = {}
+        j = i - 1
         for exp, c in self.terms.items():
-            k = exp[i - 1]
-            if k == 0:
-                continue
-            e = list(exp)
-            e[i - 1] = k - 1
-            e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + c * k
-        return Poly(self.ctx, terms)
+            k = exp[j]
+            if k:
+                terms[exp[:j] + (k - 1,) + exp[j + 1:]] = c * k
+        return Poly._raw(self.ctx, terms)
 
     def divide_exact(self, f: "Poly"):
         """Exact polynomial division: return q with self = q*f, or None.

@@ -160,7 +160,8 @@ class Regular(Presentation):
                for i in self.ctx.axes() if i not in self.S):
             return False
         xi = e.alpha + contract(e.X, self.omega)
-        return all(idx in self._conormal_tuples() for idx in xi.comps)
+        conormal = set(self._conormal_tuples())
+        return all(idx in conormal for idx in xi.comps)
 
     def verify_involutive(self) -> dict:
         dw = deRham(self.omega)
@@ -208,6 +209,10 @@ class ScaledTop(Presentation):
 
 
 # -- Hamiltonian forms -------------------------------------------------
+
+
+class NotHamiltonian(ValueError):
+    """A form that has no Hamiltonian vector field in the presentation."""
 
 
 def hamiltonian_verify(P: Presentation, alpha: Form, X: VField) -> bool:

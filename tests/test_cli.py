@@ -63,6 +63,12 @@ def test_parse_command_bad_input(capsys):
     ["parse", "1/0"],
     ["parse", "(" * 5000 + "x1" + ")" * 5000],
     ["parse", "x1^1000000"],
+    ["parse", "((x1+x2+x3)^16)^16"],
+    ["parse", "*".join(["(x1+x2+x3)^16"] * 16)],
+    ["check-linfty", "--family", "observables", "--dim", "3", "--omega",
+     "dx1^dx2"],
+    ["check-linfty", "--family", "observables", "--dim", "4", "--p", "2",
+     "--omega", "x4*dx1^dx2^dx3"],
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -101,6 +107,19 @@ def test_check_dirac_fixture(tmp_path, capsys):
     assert by_check["nambu-iso-weak"]["status"] == "pass"
     assert by_check["nambu-hismax"]["status"] == "fail"
     assert code == 1
+
+
+def test_zero_form_has_a_spelling(tmp_path, capsys):
+    # a Form-valued input that parses to zero is the zero form
+    pres = tmp_path / "tangent.pres"
+    pres.write_text(json.dumps({"kind": "graph-form", "dim": 3, "p": 1,
+                                "omega": "0"}))
+    code, reports = run_cli(capsys, "check-dirac", "--file", str(pres))
+    assert code == 0 and all(r["status"] == "pass" for r in reports)
+    code, reports = run_cli(capsys, "oracle-compare", "--H", "dx1 - dx1",
+                            "--arity-max", "3", "--trials", "2")
+    assert code == 0 and reports[0]["twist_closed"] is True
+    assert main(["oracle-compare", "--H", "x1"]) == 2
 
 
 def test_check_dirac_missing_file(capsys):

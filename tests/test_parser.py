@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from diracspace.poly import Context, Poly
 from diracspace.calculus import Form, MultiVec, VField
 from diracspace.courant import SectionEp
-from diracspace.parser import (MAX_DEPTH, MAX_EXPONENT, ParseError,
-                               parse_expression)
+from diracspace.parser import (MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
+                               ParseError, parse_expression)
 from diracspace.sampling import (random_form, random_multivec, random_poly,
                                  random_vfield)
 
@@ -118,7 +118,8 @@ def test_errors_carry_position():
     ctx = Context(3)
     cases = ["x1 +", "dx1^Dx2", "dx1 + dx1^dx2", "(x1", "x1 $", "x4",
              "dx9", "x1 x2", "1/0", "(" * 5000 + "x1" + ")" * 5000,
-             "x1^1000000", "9" * 5000]
+             "x1^1000000", "9" * 5000, "((x1+x2+x3)^16)^16",
+             "*".join(["(x1+x2+x3)^16"] * 16)]
     for src in cases:
         with pytest.raises(ParseError) as exc:
             parse_expression(src, ctx)
@@ -156,6 +157,19 @@ def test_limits_are_inclusive():
     with pytest.raises(ParseError) as exc:
         parse_expression(f"x2^{MAX_EXPONENT + 1}", ctx)
     assert exc.value.col == 4
+
+
+def test_product_term_limit_is_inclusive():
+    # a sum of 100 distinct monomials, times itself, multiplies out
+    # exactly MAX_TERMS pairs; one more term is refused at the "*"
+    ctx = Context(2)
+    a = "+".join(f"x1^{i}*x2^{j}" for i in range(10) for j in range(10))
+    assert MAX_TERMS == 100 * 100
+    product, _ = parse_expression(f"({a})*({a})", ctx)
+    assert product == parse_expression(a, ctx)[0] ** 2
+    with pytest.raises(ParseError) as exc:
+        parse_expression(f"({a})*({a}+x1^10)", ctx)
+    assert exc.value.col == len(a) + 3
 
 
 _TOKENS = ["x1", "x2", "x3", "dx1", "dx2", "dx3", "Dx1", "Dx2", "Dx3",

@@ -74,3 +74,46 @@ def test_str_roundtrip_stability():
     for _ in range(10):
         a = random_poly(rng, ctx, 2)
         assert str(a) == str(Poly(ctx, a.terms))
+
+
+def _assert_canonical(p: Poly):
+    dim = p.ctx.dim
+    for exp, c in p.terms.items():
+        assert type(exp) is tuple and len(exp) == dim
+        assert all(type(e) is int and e >= 0 for e in exp)
+        assert type(c) is Fraction and c != 0
+    rebuilt = Poly(p.ctx, dict(p.terms))
+    assert p == rebuilt and str(p) == str(rebuilt)
+
+
+def test_internal_results_are_canonical():
+    local = random.Random(2718)
+    scalars = [0, 1, -1, 3, Fraction(0), Fraction(1), Fraction(-1),
+               Fraction(-5, 7)]
+    for _ in range(60):
+        ctx = Context(local.randint(1, 4))
+        a = random_poly(local, ctx, 3, n_terms=4)
+        b = random_poly(local, ctx, 2, n_terms=3)
+        c = Poly.constant(ctx, local.choice(scalars[3:]))
+        results = [a + b, a - b, a - a, -a, a * b, b * a, a * b - b * a,
+                   (a + b) * (a - b) - (a * a - b * b), a * Poly.zero(ctx),
+                   c.partial(1), a ** 2]
+        results += [a.partial(i) for i in ctx.axes()]
+        results += [s * a for s in scalars] + [a * s for s in scalars]
+        for r in results:
+            _assert_canonical(r)
+        assert (a - a).is_zero() and (a * b - b * a).is_zero()
+        assert c.partial(1).is_zero() and (0 * a).is_zero()
+        assert 1 * a == a and -1 * a == -a
+
+
+def test_public_constructor_rejects_bad_exponents():
+    ctx = Context(2)
+    with pytest.raises(ValueError):
+        Poly(ctx, {(1,): Fraction(1)})
+    with pytest.raises(ValueError):
+        Poly(ctx, {(1, 0, 0): Fraction(1)})
+    with pytest.raises(ValueError):
+        Poly(ctx, {(1, -1): Fraction(1)})
+    with pytest.raises(TypeError):
+        Poly(ctx, {(1, 0): 0.5})
