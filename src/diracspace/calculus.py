@@ -41,6 +41,21 @@ def _sort_sign(seq, odd=None):
     return sign, tuple(seq)
 
 
+def _check(a, b, kind_a: type, kind_b: type) -> None:
+    """Require ``a`` of kind ``kind_a`` and ``b`` of kind ``kind_b`` (Form
+    or MultiVec; a VField is a MultiVec) over one context."""
+    if not (isinstance(a, kind_a) and isinstance(b, kind_b)):
+        raise ValueError(f"expected a {kind_a.__name__} and a "
+                         f"{kind_b.__name__}, got a {type(a).__name__} "
+                         f"and a {type(b).__name__}")
+    if a.ctx != b.ctx:
+        raise ValueError("context mismatch")
+
+
+def _kind(a) -> type:
+    return MultiVec if isinstance(a, MultiVec) else Form
+
+
 class _Graded:
     """Shared storage for forms and multivectors: degree + component map.
 
@@ -76,12 +91,16 @@ class _Graded:
         _Graded.__init__(out, self.ctx, degree, comps)
         return out
 
+    @classmethod
+    def zero(cls, ctx: Context, degree: int = 0):
+        return cls(ctx, degree)
+
+    @classmethod
+    def basis(cls, ctx: Context, idx: tuple):
+        return cls(ctx, len(idx), {tuple(idx): Poly.constant(ctx, 1)})
+
     def is_zero(self) -> bool:
         return not self.comps
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
 
     def __eq__(self, other) -> bool:
         if (not isinstance(other, _Graded) or self._prefix != other._prefix
@@ -95,7 +114,7 @@ class _Graded:
         return hash((self._prefix, self.ctx, frozenset(self.comps.items())))
 
     def __add__(self, other):
-        self._check(other)
+        _check(self, other, _kind(self), _kind(self))
         if self.is_zero():
             return other
         if other.is_zero():
@@ -150,16 +169,8 @@ class Form(_Graded):
     _prefix = "dx"
 
     @staticmethod
-    def zero(ctx: Context, degree: int = 0) -> "Form":
-        return Form(ctx, degree)
-
-    @staticmethod
     def from_poly(f: Poly) -> "Form":
         return Form(f.ctx, 0, {(): f})
-
-    @staticmethod
-    def basis(ctx: Context, idx: tuple) -> "Form":
-        return Form(ctx, len(idx), {tuple(idx): Poly.constant(ctx, 1)})
 
     def to_poly(self) -> Poly:
         if self.degree != 0 and not self.is_zero():
@@ -176,14 +187,6 @@ class MultiVec(_Graded):
     """Multivector field of degree q."""
 
     _prefix = "Dx"
-
-    @staticmethod
-    def zero(ctx: Context, degree: int = 0) -> "MultiVec":
-        return MultiVec(ctx, degree)
-
-    @staticmethod
-    def basis(ctx: Context, idx: tuple) -> "MultiVec":
-        return MultiVec(ctx, len(idx), {tuple(idx): Poly.constant(ctx, 1)})
 
     def to_vfield(self) -> "VField":
         if self.degree != 1 and not self.is_zero():
@@ -224,31 +227,21 @@ class VField(MultiVec):
 # wedge products
 
 
-def _wedge_comps(ctx, ca: dict, cb: dict) -> dict:
+def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
+    """Wedge product of two forms or of two multivectors."""
+    kind = _kind(a)
+    _check(a, b, kind, kind)
+    deg = a.degree + b.degree
+    if deg > a.ctx.dim:
+        return kind.zero(a.ctx, deg)
     out: dict = {}
-    for I, f in ca.items():
-        for J, g in cb.items():
+    for I, f in a.comps.items():
+        for J, g in b.comps.items():
             sign, idx = _sort_sign(I + J)
             if sign == 0:
                 continue
-            out[idx] = out.get(idx, Poly.zero(ctx)) + sign * (f * g)
-    return out
-
-
-def wedge(a: Form, b: Form) -> Form:
-    a._check(b)
-    deg = a.degree + b.degree
-    if deg > a.ctx.dim:
-        return Form.zero(a.ctx, deg)
-    return Form(a.ctx, deg, _wedge_comps(a.ctx, a.comps, b.comps))
-
-
-def mv_wedge(a: MultiVec, b: MultiVec) -> MultiVec:
-    a._check(b)
-    deg = a.degree + b.degree
-    if deg > a.ctx.dim:
-        return MultiVec.zero(a.ctx, deg)
-    return MultiVec(a.ctx, deg, _wedge_comps(a.ctx, a.comps, b.comps))
+            out[idx] = out.get(idx, Poly.zero(a.ctx)) + sign * (f * g)
+    return kind(a.ctx, deg, out)
 
 
 # ---------------------------------------------------------------------
@@ -288,7 +281,7 @@ def contract(Y: MultiVec, a: Form) -> Form:
     Decomposable multivectors contract first-factor-first; the convention
     test iota_{D1^D2}(dx1^dx2^dx3) = dx3 pins the sign.
     """
-    Y._check(a)
+    _check(Y, a, MultiVec, Form)
     deg = a.degree - Y.degree
     if deg < 0:
         return Form.zero(a.ctx, deg)
@@ -298,7 +291,7 @@ def contract(Y: MultiVec, a: Form) -> Form:
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
     """Contraction of a form into a multivector, form factors against the
     first slots of pi in order; for a bivector iota_alpha pi = pi(alpha, .)."""
-    alpha._check(pi)
+    _check(alpha, pi, Form, MultiVec)
     deg = pi.degree - alpha.degree
     if deg < 0:
         return MultiVec.zero(pi.ctx, deg)
@@ -380,7 +373,7 @@ def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
     attaching the polynomial coefficient of each component to its first
     wedge factor.  Reduces to the Lie bracket on vector fields.
     """
-    P._check(Q)
+    _check(P, Q, MultiVec, MultiVec)
     p, q = P.degree, Q.degree
     if p < 1 or q < 1:
         raise ValueError("schouten is implemented for degrees >= 1")
@@ -398,10 +391,10 @@ def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
                     rest = br
                     for t, v in enumerate(xs):
                         if t != i:
-                            rest = mv_wedge(rest, v)
+                            rest = wedge(rest, v)
                     for t, v in enumerate(ys):
                         if t != j:
-                            rest = mv_wedge(rest, v)
+                            rest = wedge(rest, v)
                     sgn = -1 if (i + j) % 2 else 1
                     out = out + sgn * rest
     return out

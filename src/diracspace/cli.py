@@ -115,6 +115,14 @@ def _emit(reports, fmt: str) -> int:
     return 1 if failed else 0
 
 
+def _failures(command: str, check: str, args, failures: int, **extra) -> dict:
+    """The report of a check run on ``args.trials`` samples, of which
+    ``failures`` failed."""
+    return {"command": command, "check": check, "seed": args.seed,
+            "trials": args.trials, "failures": failures,
+            "status": "pass" if failures == 0 else "fail", **extra}
+
+
 def _common_flags(sp, trials=20):
     sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--trials", type=int, default=trials)
@@ -174,11 +182,9 @@ def cmd_check_linfty(args) -> int:
         for _ in range(args.trials):
             if not check_relation(F, [rand_elem() for _ in range(n)]).is_zero():
                 failures += 1
-        reports.append({"command": "check-linfty", "family": args.family,
-                        "check": f"homotopy-relation-arity-{n}",
-                        "seed": args.seed, "trials": args.trials,
-                        "failures": failures,
-                        "status": "pass" if failures == 0 else "fail"})
+        reports.append(_failures("check-linfty",
+                                 f"homotopy-relation-arity-{n}", args,
+                                 failures, family=args.family))
     return _emit(reports, args.format)
 
 
@@ -245,12 +251,11 @@ def cmd_check_dirac(args) -> int:
     L = _constant_subspace(P)
     if L is not None:
         nd = nambu_dirac_check(L)
-        reports.append({"command": "check-dirac", "check": "nambu-iso-weak",
-                        "seed": 0, "trials": 0, "dim_L": L.dim(),
-                        "status": "pass" if nd["iso_weak"] else "fail"})
-        reports.append({"command": "check-dirac", "check": "nambu-hismax",
-                        "seed": 0, "trials": 0, "dim_L": L.dim(),
-                        "status": "pass" if nd["hismax"] else "fail"})
+        for name, key in (("nambu-iso-weak", "iso_weak"),
+                          ("nambu-hismax", "hismax")):
+            reports.append({"command": "check-dirac", "check": name,
+                            "seed": 0, "trials": 0, "dim_L": L.dim(),
+                            "status": "pass" if nd[key] else "fail"})
     return _emit(reports, args.format)
 
 
@@ -304,12 +309,10 @@ def cmd_lagrangian_roundtrip(args) -> int:
         if c["lagrangian"] != c["easychar"]:
             classify_bad += 1
     reports = [
-        {"command": "lagrangian-roundtrip", "check": "to_pair-from_pair",
-         "seed": args.seed, "trials": args.trials, "failures": roundtrip_bad,
-         "status": "pass" if roundtrip_bad == 0 else "fail"},
-        {"command": "lagrangian-roundtrip", "check": "classify-agreement",
-         "seed": args.seed, "trials": args.trials, "failures": classify_bad,
-         "status": "pass" if classify_bad == 0 else "fail"},
+        _failures("lagrangian-roundtrip", "to_pair-from_pair", args,
+                  roundtrip_bad),
+        _failures("lagrangian-roundtrip", "classify-agreement", args,
+                  classify_bad),
     ]
     return _emit(reports, args.format)
 
@@ -330,12 +333,8 @@ def cmd_multidirac_tiers(args) -> int:
                         tiers[r - 1]:
                     iso_bad += 1
     reports = [
-        {"command": "multidirac-tiers", "check": "tier-1-is-L",
-         "seed": args.seed, "trials": args.trials, "failures": tier_bad,
-         "status": "pass" if tier_bad == 0 else "fail"},
-        {"command": "multidirac-tiers", "check": "tier-perp-duality",
-         "seed": args.seed, "trials": args.trials, "failures": iso_bad,
-         "status": "pass" if iso_bad == 0 else "fail"},
+        _failures("multidirac-tiers", "tier-1-is-L", args, tier_bad),
+        _failures("multidirac-tiers", "tier-perp-duality", args, iso_bad),
     ]
     return _emit(reports, args.format)
 
@@ -362,12 +361,9 @@ def cmd_oracle_compare(args) -> int:
         tuples = [[random_twisted_elem(rng, F) for _ in range(n)]
                   for _ in range(args.trials)]
         witnesses = oracle_compare(F, tuples)
-        reports.append({"command": "oracle-compare",
-                        "check": f"oracle-vs-direct-arity-{n}",
-                        "pipeline": "derived-bracket", "seed": args.seed,
-                        "trials": args.trials,
-                        "failures": len(witnesses),
-                        "status": "pass" if not witnesses else "fail"})
+        reports.append(_failures("oracle-compare",
+                                 f"oracle-vs-direct-arity-{n}", args,
+                                 len(witnesses), pipeline="derived-bracket"))
     return _emit(reports, args.format)
 
 

@@ -16,9 +16,9 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .calculus import Form, MultiVec, VField, contract, mv_wedge, wedge
+from .calculus import Form, MultiVec, VField, contract, wedge
 from .courant import SectionPr, multi_pairing
-from .linalg import kernel_basis, solve, span_basis, span_contains, span_equal
+from .linalg import kernel_basis, solve, span_basis, span_equal
 from .poly import Context, Poly
 
 
@@ -34,28 +34,18 @@ def const_vfield(ctx: Context, vec) -> VField:
                         for i in ctx.axes()})
 
 
-def const_form(ctx: Context, degree: int, coords) -> Form:
-    idxs = _tuples(ctx.dim, degree)
-    return Form(ctx, degree, {
-        idx: Poly.constant(ctx, Fraction(c)) for idx, c in zip(idxs, coords)
+def const(cls, ctx: Context, degree: int, coords):
+    """The constant ``cls`` (Form or MultiVec) with these coordinates."""
+    return cls(ctx, degree, {
+        idx: Poly.constant(ctx, Fraction(c))
+        for idx, c in zip(_tuples(ctx.dim, degree), coords)
     })
 
 
-def const_multivec(ctx: Context, degree: int, coords) -> MultiVec:
-    idxs = _tuples(ctx.dim, degree)
-    return MultiVec(ctx, degree, {
-        idx: Poly.constant(ctx, Fraction(c)) for idx, c in zip(idxs, coords)
-    })
-
-
-def form_coords(a: Form) -> list[Fraction]:
+def coords(a: Form | MultiVec) -> list[Fraction]:
+    """Coordinates of a constant Form or MultiVec, as ``const`` takes."""
     return [a.comps.get(idx, Poly.zero(a.ctx)).constant_value()
             for idx in _tuples(a.ctx.dim, a.degree)]
-
-
-def mv_coords(Y: MultiVec) -> list[Fraction]:
-    return [Y.comps.get(idx, Poly.zero(Y.ctx)).constant_value()
-            for idx in _tuples(Y.ctx.dim, Y.degree)]
 
 
 def form_eval(a: Form, vecs) -> Fraction:
@@ -66,26 +56,14 @@ def form_eval(a: Form, vecs) -> Fraction:
     return out.comps.get((), Poly.zero(a.ctx)).constant_value()
 
 
-def wedge_covectors(ctx: Context, rows, k: int) -> list[Form]:
-    """All k-fold wedges of the given constant covectors (1-forms)."""
-    ones = [const_form(ctx, 1, row) for row in rows]
+def wedges(cls, ctx: Context, rows, k: int) -> list:
+    """All k-fold wedges of the constant degree-1 ``cls`` of the rows."""
+    ones = [const(cls, ctx, 1, row) for row in rows]
     out = []
     for combo in itertools.combinations(ones, k):
-        w = Form(ctx, 0, {(): Poly.constant(ctx, 1)})
+        w = cls(ctx, 0, {(): Poly.constant(ctx, 1)})
         for f in combo:
             w = wedge(w, f)
-        out.append(w)
-    return out
-
-
-def wedge_vectors(ctx: Context, rows, k: int) -> list[MultiVec]:
-    """All k-fold wedges of the given constant vectors."""
-    ones = [const_vfield(ctx, row) for row in rows]
-    out = []
-    for combo in itertools.combinations(ones, k):
-        w = MultiVec(ctx, 0, {(): Poly.constant(ctx, 1)})
-        for Y in combo:
-            w = mv_wedge(w, Y)
         out.append(w)
     return out
 
@@ -136,26 +114,20 @@ class LinSubspace:
         return hash((self.n, self.p, self.r,
                      tuple(tuple(row) for row in self.basis)))
 
-    def contains(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        if not self.basis:
-            return all(x == 0 for x in v)
-        return span_contains(self.basis, v)
-
     def members(self):
         """Basis as (MultiVec, Form) pairs."""
         ctx = self.ctx
         nm = comb(self.n, self.r)
         out = []
         for row in self.basis:
-            out.append((const_multivec(ctx, self.r, row[:nm]),
-                        const_form(ctx, self.p + 1 - self.r, row[nm:])))
+            out.append((const(MultiVec, ctx, self.r, row[:nm]),
+                        const(Form, ctx, self.p + 1 - self.r, row[nm:])))
         return out
 
     @staticmethod
     def from_elements(n: int, p: int, elems, r: int = 1) -> "LinSubspace":
         """Span of (MultiVec, Form) pairs in tier-r coordinates."""
-        rows = [mv_coords(Y) + form_coords(eta) for Y, eta in elems]
+        rows = [coords(Y) + coords(eta) for Y, eta in elems]
         return LinSubspace(n, p, rows, r)
 
     def tangent_part(self):
@@ -205,7 +177,7 @@ def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
     cols = []
     for Y, eta in units:
         a = SectionPr(p, r, Y, eta)
-        cols.append([c for b in mem for c in form_coords(multi_pairing(a, b))])
+        cols.append([c for b in mem for c in coords(multi_pairing(a, b))])
     if cols and cols[0]:
         rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
         ker = kernel_basis(rows, len(units))
@@ -246,7 +218,7 @@ def classify(L: LinSubspace) -> dict:
     lag = perp(L) == L
     S = L.tangent_part()
     so = annihilator(n, S)
-    wp_so = span_basis([form_coords(f) for f in wedge_covectors(ctx, so, p)])
+    wp_so = span_basis([coords(f) for f in wedges(Form, ctx, so, p)])
     easy = (
         iso
         and L.form_intersection() == wp_so
@@ -329,7 +301,7 @@ def to_pair(L: LinSubspace) -> LagrangianPair:
         v = [Fraction(0)] * L.ambient_dim()
         for c, row in zip(cs, L.basis):
             v = [a + c * b for a, b in zip(v, row)]
-        alphas.append(const_form(ctx, p, v[n:]))
+        alphas.append(const(Form, ctx, p, v[n:]))
     Omega = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -353,10 +325,10 @@ def _omega_extension_to_p_forms(pair: LagrangianPair):
     rows, rhs = [], []
     for i in range(k):
         for j in range(k):
-            target = form_coords(pair.omega_at(i, j))
+            target = coords(pair.omega_at(i, j))
             # iota_{s_j} acting on unit p-forms, restricted to block i
-            cols = [form_coords(contract(const_vfield(ctx, S[j]),
-                                         Form.basis(ctx, idx)))
+            cols = [coords(contract(const_vfield(ctx, S[j]),
+                                    Form.basis(ctx, idx)))
                     for idx in idxs_p]
             for t in range(len(target)):
                 row = [Fraction(0)] * (k * np_)
@@ -367,7 +339,8 @@ def _omega_extension_to_p_forms(pair: LagrangianPair):
     sol = solve(rows, rhs)
     if sol is None:
         return None
-    return [const_form(ctx, p, sol[i * np_:(i + 1) * np_]) for i in range(k)]
+    return [const(Form, ctx, p, sol[i * np_:(i + 1) * np_])
+            for i in range(k)]
 
 
 def extend_to_form(n: int, p: int, S, betas, C=None) -> Form:
@@ -419,7 +392,7 @@ def extend_to_form(n: int, p: int, S, betas, C=None) -> Form:
         coeff = acc * Fraction(1, p + 1) * Fraction(p + 1, q)
         w = Form(ctx, 0, {(): Poly.constant(ctx, coeff)})
         for j in J:
-            w = wedge(w, const_form(ctx, 1, dual[j]))
+            w = wedge(w, const(Form, ctx, 1, dual[j]))
         omega = omega + w
     # sanity: the restriction really is beta
     for i in range(k):
@@ -441,7 +414,7 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     for s in S:
         X = const_vfield(ctx, s)
         elems.append((X, contract(X, omega)))
-    for xi in wedge_covectors(ctx, annihilator(n, S), p):
+    for xi in wedges(Form, ctx, annihilator(n, S), p):
         elems.append((MultiVec.zero(ctx, 1), xi))
     return LinSubspace.from_elements(n, p, elems, 1)
 
@@ -486,15 +459,15 @@ def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
     for s in S:
         sv = const_vfield(ctx, s)
         for K in _tuples(n, r - 1):
-            Y = mv_wedge(sv, MultiVec.basis(ctx, K)) if r > 1 else sv
+            Y = wedge(sv, MultiVec.basis(ctx, K)) if r > 1 else sv
             if Y.is_zero():
                 continue
-            key = tuple(mv_coords(Y))
+            key = tuple(coords(Y))
             if key in seen:
                 continue
             seen.add(key)
             elems.append((Y, contract(Y, omega)))
-    for xi in wedge_covectors(ctx, annihilator(n, S), p + 1 - r):
+    for xi in wedges(Form, ctx, annihilator(n, S), p + 1 - r):
         elems.append((MultiVec.zero(ctx, r), xi))
     from_normal = LinSubspace.from_elements(n, p, elems, r)
     brute = perp_tier(L, r)
@@ -521,7 +494,7 @@ def nambu_dirac_check(L: LinSubspace) -> dict:
         for combo in itertools.combinations(S, p - 1):
             if form_eval(pr, list(combo)) != 0:
                 iso_weak = False
-    wp_s = span_basis([mv_coords(Y) for Y in wedge_vectors(ctx, S, p)])
+    wp_s = span_basis([coords(Y) for Y in wedges(MultiVec, ctx, S, p)])
     proj = perp_tier(L, p).tangent_part()
     return {"iso_weak": iso_weak, "hismax": span_equal(wp_s, proj)}
 
@@ -536,7 +509,7 @@ def random_lagrangian(rng, n: int, p: int) -> LinSubspace:
     while len(S) < k:
         S = span_basis(S + [[Fraction(rng.randint(-3, 3))
                              for _ in range(n)]])
-    omega = const_form(ctx, p + 1,
-                       [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
-                        for _ in range(comb(n, p + 1))])
+    omega = const(Form, ctx, p + 1,
+                  [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+                   for _ in range(comb(n, p + 1))])
     return norom_subspace(n, p, S, omega)

@@ -122,13 +122,37 @@ def koszul_sign(sigma, degrees) -> int:
 
 
 class MultibracketFamily:
-    """Base: graded-symmetric multibrackets l_n of degree 2-n."""
+    """Base: graded-symmetric multibrackets l_n of degree 2-n on
+    (depth - k)-forms in degree -k < 0 over a family's degree-0 part.
 
-    max_arity: int
+    The base owns that complex, l_1 = d and the zero-argument rule; a
+    family defines ``_bracket(args)`` for arity >= 2 on nonzero
+    arguments, and ``_exact(d)``, the degree-0 element of the exact
+    form d = l_1 of a degree -1 element.
+    """
+
+    max_arity: int  # l_n with n > max_arity is zero by degree
     depth: int  # complex lives in degrees [-depth, 0]
 
+    def form(self, degree: int, xi: Form) -> GradedElem:
+        if not -self.depth <= degree < 0:
+            raise ValueError(f"degree {degree} out of range")
+        if not xi.is_zero() and xi.degree != self.depth + degree:
+            raise ValueError("form degree does not match complex degree")
+        return self._clamp(degree, xi)
+
     def l(self, args: list[GradedElem]) -> GradedElem:
-        raise NotImplementedError
+        if any(a.is_zero() for a in args):
+            return GradedElem.zero()
+        if len(args) > 1:
+            return self._bracket(args)
+        a = args[0]
+        if a.degree == 0:
+            return GradedElem.zero()
+        d = deRham(a.payload)
+        if a.degree == -1:
+            return self._clamp(0, self._exact(d))
+        return self._clamp(a.degree + 1, d)
 
     def _clamp(self, degree: int, payload) -> GradedElem:
         if payload is None or payload.is_zero() or not -self.depth <= degree <= 0:
@@ -143,7 +167,7 @@ def check_relation(F: MultibracketFamily, elems: list[GradedElem]) -> GradedElem
     total = GradedElem.zero()
     for i in range(1, n + 1):
         j = n + 1 - i
-        if i > F.max_arity and j > F.max_arity:
+        if i > F.max_arity or j > F.max_arity:
             continue
         outer_sign = -1 if (i * (j - 1)) % 2 else 1
         for sigma in unshuffles(i, n):
@@ -183,38 +207,21 @@ class ObservablesFamily(MultibracketFamily):
                 raise NotHamiltonian("alpha is not Hamiltonian")
         return GradedElem(0, HamiltonianDatum(self.P, alpha, X))
 
-    def form(self, degree: int, xi: Form) -> GradedElem:
-        if not -self.depth <= degree < 0:
-            raise ValueError(f"degree {degree} out of range")
-        if not xi.is_zero() and xi.degree != self.P.p - 1 + degree:
-            raise ValueError("form degree does not match complex degree")
-        return self._clamp(degree, xi)
+    def _exact(self, d: Form) -> HamiltonianDatum:
+        return HamiltonianDatum(self.P, d, VField.zero(self.P.ctx))
 
-    def l(self, args: list[GradedElem]) -> GradedElem:
-        k = len(args)
-        if any(a.is_zero() for a in args):
-            return GradedElem.zero()
-        if k == 1:
-            a = args[0]
-            if a.degree == 0:
-                return GradedElem.zero()
-            d = deRham(a.payload)
-            if a.degree + 1 == 0:
-                return self._clamp(
-                    0, HamiltonianDatum(self.P, d, VField.zero(self.P.ctx)))
-            return self._clamp(a.degree + 1, d)
+    def _bracket(self, args: list[GradedElem]) -> GradedElem:
         if any(a.degree < 0 for a in args):
             return GradedElem.zero()
         data = [a.payload for a in args]
         br = ham_bracket(data[0], data[1])
-        if k == 2:
+        if len(data) == 2:
             return self._clamp(
                 0, HamiltonianDatum(self.P, br,
                                     lie_bracket(data[0].X, data[1].X)))
-        out = br
         for d in data[2:]:
-            out = contract(d.X, out)
-        return self._clamp(2 - k, self.eps(k) * out)
+            br = contract(d.X, br)
+        return self._clamp(2 - len(data), self.eps(len(data)) * br)
 
 
 class TwistedSectionsFamily(MultibracketFamily):
@@ -253,12 +260,8 @@ class TwistedSectionsFamily(MultibracketFamily):
     def section(self, X: VField, alpha: Form) -> GradedElem:
         return GradedElem(0, SectionEp(self.r - 1, X, alpha))
 
-    def form(self, degree: int, xi: Form) -> GradedElem:
-        if not -self.depth <= degree < 0:
-            raise ValueError(f"degree {degree} out of range")
-        if not xi.is_zero() and xi.degree != self.r - 1 + degree:
-            raise ValueError("form degree does not match complex degree")
-        return self._clamp(degree, xi)
+    def _exact(self, d: Form) -> SectionEp:
+        return SectionEp(self.r - 1, VField.zero(self.ctx), d)
 
     def _tri(self, xi: Form, X1: VField, X2: VField, full: bool) -> Form:
         t = Fraction(1, 2) * (contract(X1, lie_derivative(X2, xi))
@@ -269,7 +272,7 @@ class TwistedSectionsFamily(MultibracketFamily):
         return Fraction(-1, 6) * t
 
     def _nary_form(self, xi: Form, Xs: list[VField], full: bool) -> Form:
-        # [xi, X_1, ..., X_{n-1}] for odd n >= 5
+        # [xi, X_1, ..., X_{n-1}] for odd n >= 3
         n = len(Xs) + 1
         coeff = (Fraction(12, (n - 1) * (n - 2)) * bernoulli(n - 1)
                  * (-1 if ((n - 1) // 2) % 2 else 1))
@@ -284,27 +287,11 @@ class TwistedSectionsFamily(MultibracketFamily):
                 acc = acc + sgn * t
         return coeff * acc
 
-    def _iota_all(self, Xs: list[VField], H: Form) -> Form:
-        out = H
-        for X in Xs:
-            out = contract(X, out)
-        return out
-
-    def l(self, args: list[GradedElem]) -> GradedElem:
+    def _bracket(self, args: list[GradedElem]) -> GradedElem:
         n = len(args)
-        if any(a.is_zero() for a in args):
-            return GradedElem.zero()
         degs = [a.degree for a in args]
         out_deg = sum(degs) + 2 - n
         negs = [k for k, d in enumerate(degs) if d < 0]
-        if n == 1:
-            if degs[0] == 0:
-                return GradedElem.zero()
-            d = deRham(args[0].payload)
-            if degs[0] + 1 == 0:
-                return self._clamp(0, SectionEp(self.r - 1,
-                                                VField.zero(self.ctx), d))
-            return self._clamp(degs[0] + 1, d)
         if len(negs) >= 2 or (n >= 4 and n % 2 == 0):
             return GradedElem.zero()
         if n == 2:
@@ -330,9 +317,6 @@ class TwistedSectionsFamily(MultibracketFamily):
             xi = args[pos].payload
             Xs = [args[k].payload.X for k in range(n) if k != pos]
             sgn = -1 if pos % 2 else 1
-            if n == 3:
-                return self._clamp(out_deg,
-                                   sgn * self._tri(xi, Xs[0], Xs[1], False))
             return self._clamp(out_deg,
                                sgn * self._nary_form(xi, Xs, False))
         Xs = [a.payload.X for a in args]
@@ -343,7 +327,10 @@ class TwistedSectionsFamily(MultibracketFamily):
             acc = acc + (-1 if i % 2 else 1) * term
         hc = (Fraction(n) * bernoulli(n - 1)
               * (-1 if ((n - 1) // 2) % 2 else 1))
-        acc = acc + hc * self._iota_all(Xs, self.H)
+        iota_H = self.H
+        for X in Xs:
+            iota_H = contract(X, iota_H)
+        acc = acc + hc * iota_H
         return self._clamp(out_deg, acc)
 
 

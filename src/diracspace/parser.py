@@ -10,8 +10,9 @@ to zero with a warning.  The canonical printers are the classes' str();
 parse o print o parse = parse.  Parentheses and unary minus signs nest at
 most ``MAX_DEPTH`` deep, a power ``^n`` has ``n <= MAX_EXPONENT``, and a
 product (each step of a power included) multiplies out at most
-``MAX_TERMS`` pairs of terms; beyond any of these, and on a zero
-denominator, parsing stops with a positioned ``ParseError``.
+``MAX_TERMS`` pairs of terms, and all products of one parse at most
+``MAX_PARSE_TERMS``; beyond any of these, and on a zero denominator,
+parsing stops with a positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .poly import Context, Poly
 MAX_DEPTH = 100     # nested parentheses and unary minus signs
 MAX_EXPONENT = 64   # largest n in a power x^n
 MAX_TERMS = 10_000  # term pairs one product multiplies out
+MAX_PARSE_TERMS = 40_000  # term pairs all products of one parse multiply out
 
 
 class ParseError(ValueError):
@@ -141,6 +143,7 @@ class _Parser:
         self.ctx = ctx
         self.pos = 0
         self.depth = 0
+        self.pairs = 0   # term pairs multiplied out so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -156,10 +159,15 @@ class _Parser:
 
     def multiply(self, a: _Terms, b: _Terms, line: int, col: int) -> _Terms:
         """``a * b``, refused when it would multiply out more than
-        ``MAX_TERMS`` pairs of terms."""
+        ``MAX_TERMS`` pairs of terms, or bring the parse past
+        ``MAX_PARSE_TERMS``."""
+        self.pairs += a.size() * b.size()
         if a.size() * b.size() > MAX_TERMS:
             raise ParseError(f"product of {a.size()} by {b.size()} terms "
                              f"exceeds {MAX_TERMS}", line, col)
+        if self.pairs > MAX_PARSE_TERMS:
+            raise ParseError(f"products multiply out more than "
+                             f"{MAX_PARSE_TERMS} pairs of terms", line, col)
         return a * b
 
     def descend(self):

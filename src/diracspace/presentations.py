@@ -20,6 +20,12 @@ from .linalg import solve
 from .poly import Context, Poly
 
 
+def _verdict(check: str, witnesses: list[str]) -> dict:
+    """A check report: it passes when there are no witnesses."""
+    return {"check": check, "status": "pass" if not witnesses else "fail",
+            "witnesses": witnesses}
+
+
 class Presentation:
     """Base: a finitely presented subbundle of T + /\\^p T*."""
 
@@ -48,9 +54,7 @@ class Presentation:
                 pr = pairing(a, b)
                 if not pr.is_zero():
                     witnesses.append(f"<{a}, {b}> = {pr}")
-        return {"check": "isotropic",
-                "status": "pass" if not witnesses else "fail",
-                "witnesses": witnesses}
+        return _verdict("isotropic", witnesses)
 
     def verify_involutive(self) -> dict:
         """Default: close the generating family under the Dorfman bracket
@@ -62,9 +66,7 @@ class Presentation:
                 br = dorfman(a, b)
                 if not self.member(br):
                     witnesses.append(f"[[{a}, {b}]] = {br} is not a member")
-        return {"check": "involutive",
-                "status": "pass" if not witnesses else "fail",
-                "witnesses": witnesses}
+        return _verdict("involutive", witnesses)
 
 
 class GraphForm(Presentation):
@@ -90,9 +92,7 @@ class GraphForm(Presentation):
     def verify_involutive(self) -> dict:
         dw = deRham(self.omega)
         witnesses = [] if dw.is_zero() else [f"d omega = {dw}"]
-        return {"check": "involutive",
-                "status": "pass" if not witnesses else "fail",
-                "witnesses": witnesses}
+        return _verdict("involutive", witnesses)
 
 
 class GraphMultivector(Presentation):
@@ -170,9 +170,7 @@ class Regular(Presentation):
             if sum(1 for i in idx if i in self.S) >= 3:
                 witnesses.append(
                     f"d omega component {c} on {idx} has >= 3 S indices")
-        return {"check": "involutive",
-                "status": "pass" if not witnesses else "fail",
-                "witnesses": witnesses}
+        return _verdict("involutive", witnesses)
 
 
 class ScaledTop(Presentation):

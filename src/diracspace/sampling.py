@@ -69,13 +69,8 @@ def random_vfield(rng: random.Random, ctx: Context, max_deg: int = 2) -> VField:
 
 def random_multivec(rng: random.Random, ctx: Context, degree: int,
                     max_deg: int = 2) -> MultiVec:
-    if degree < 0 or degree > ctx.dim:
-        return MultiVec.zero(ctx, degree)
-    comps = {
-        idx: random_poly(rng, ctx, max_deg, n_terms=1)
-        for idx in itertools.combinations(ctx.axes(), degree)
-    }
-    return MultiVec(ctx, degree, comps)
+    """The same draws as ``random_form``, read as a multivector."""
+    return MultiVec(ctx, degree, random_form(rng, ctx, degree, max_deg).comps)
 
 
 def random_symmetry_vfield(rng: random.Random, omega: Form,

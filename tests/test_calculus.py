@@ -1,12 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from diracspace.poly import Context, Poly
 from diracspace.calculus import (Form, MultiVec, VField, _sort_sign,
                                  contract, deRham, iota_form, lie_bracket,
                                  lie_derivative, lie_derivative_direct,
-                                 mv_wedge, poincare_primitive, schouten,
-                                 wedge)
+                                 poincare_primitive, schouten, wedge)
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_multivec, random_poly, random_vfield)
 
@@ -83,9 +84,9 @@ def test_schouten_properties():
         R = random_multivec(rng, ctx, r)
         assert (schouten(P, Q)
                 + (-1) ** ((p - 1) * (q - 1)) * schouten(Q, P)).is_zero()
-        assert schouten(P, mv_wedge(Q, R)) == \
-            mv_wedge(schouten(P, Q), R) \
-            + (-1) ** ((p - 1) * q) * mv_wedge(Q, schouten(P, R))
+        assert schouten(P, wedge(Q, R)) == \
+            wedge(schouten(P, Q), R) \
+            + (-1) ** ((p - 1) * q) * wedge(Q, schouten(P, R))
         jac = schouten(P, schouten(Q, R)) - schouten(schouten(P, Q), R) \
             - (-1) ** ((p - 1) * (q - 1)) * schouten(Q, schouten(P, R))
         assert jac.is_zero()
@@ -108,7 +109,7 @@ def test_iota_form_pairs_first_slots():
     for _ in range(10):
         a = random_form(rng, ctx, 1)
         X1, X2 = random_vfield(rng, ctx), random_vfield(rng, ctx)
-        dec = mv_wedge(X1.to_multivec(), X2.to_multivec())
+        dec = wedge(X1.to_multivec(), X2.to_multivec())
         # a 1-form eats the first slot of a decomposable bivector
         want = contract(X1, a).to_poly() * X2.to_multivec() \
             - contract(X2, a).to_poly() * X1.to_multivec()
@@ -176,3 +177,19 @@ def test_vfield_equals_its_degree_one_multivec():
         assert X + Y == 2 * X == Y + X
         a = random_form(local, ctx, 2)
         assert contract(X, a) == contract(Y, a)
+
+
+def test_mixed_kinds_are_refused():
+    ctx = Context(3)
+    dx1, dx2 = Form.basis(ctx, (1,)), Form.basis(ctx, (2,))
+    Dx1, Dx2 = MultiVec.basis(ctx, (1,)), VField.basis(ctx, 2)
+    for mixed in (lambda: dx1 + Dx1, lambda: Dx1 - dx1, lambda: Dx2 + dx2,
+                  lambda: wedge(dx1, Dx2), lambda: wedge(Dx1, dx2),
+                  lambda: contract(dx1, wedge(dx1, dx2)),
+                  lambda: contract(Dx1, wedge(Dx1, Dx2)),
+                  lambda: contract(wedge(dx1, dx2), Dx1),
+                  lambda: iota_form(Dx1, wedge(Dx1, Dx2)),
+                  lambda: iota_form(dx1, wedge(dx1, dx2)),
+                  lambda: iota_form(wedge(Dx1, Dx2), dx1)):
+        with pytest.raises(ValueError):
+            mixed()

@@ -6,7 +6,7 @@ import pytest
 
 from diracspace.poly import Context
 from diracspace.calculus import Form, contract
-from diracspace.lagrangian import (LinSubspace, classify, const_form,
+from diracspace.lagrangian import (LinSubspace, classify, const,
                                    const_vfield, extend_to_form, form_eval,
                                    from_pair, multidirac_tier,
                                    nambu_dirac_check, norom_subspace, perp,
@@ -28,7 +28,7 @@ def test_perp_fixed_points():
 
 def test_graph_of_form_is_lagrangian():
     ctx = Context(3)
-    w = const_form(ctx, 2, [Fraction(2), Fraction(-1), Fraction(3)])
+    w = const(Form, ctx, 2, [Fraction(2), Fraction(-1), Fraction(3)])
     elems = []
     for i in range(3):
         v = [Fraction(0)] * 3
@@ -139,7 +139,7 @@ def test_plane_with_conormal_volume_example():
 
 def test_nambu_check_passes_on_graphs():
     ctx = Context(3)
-    w = const_form(ctx, 2, [Fraction(1), Fraction(0), Fraction(0)])
+    w = const(Form, ctx, 2, [Fraction(1), Fraction(0), Fraction(0)])
     elems = []
     for i in range(3):
         v = [Fraction(0)] * 3

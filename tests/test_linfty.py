@@ -153,3 +153,27 @@ def test_unary_is_de_rham():
     got = F.l([F.form(-1, xi)])
     assert got.degree == 0
     assert got.payload == SectionEp(2, VField.zero(ctx4), deRham(xi))
+
+
+def test_check_relation_skips_vanishing_arities():
+    # l_k above max_arity is zero by degree, so check_relation never
+    # calls it; the relation at n = max_arity + 1 still holds
+    def recording(family):
+        class Recording(family):
+            def l(self, args):
+                self.arities.append(len(args))
+                return super().l(args)
+        return Recording
+
+    local = random.Random(31)
+    F_obs = recording(ObservablesFamily)(GraphForm(3, 2, vol3))
+    F_tw = recording(TwistedSectionsFamily)(
+        2, ctx3, Form(ctx3, 3, {(1, 2, 3): random_poly(local, ctx3, 1)}))
+    for F, sample in ((F_obs, random_observables_elem),
+                      (F_tw, random_twisted_elem)):
+        for _ in range(4):
+            F.arities = []
+            elems = [sample(local, F) for _ in range(F.max_arity + 1)]
+            assert check_relation(F, elems).is_zero()
+            assert F.arities and max(F.arities) <= F.max_arity
+            assert F.l(elems).is_zero()

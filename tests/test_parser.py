@@ -119,7 +119,8 @@ def test_errors_carry_position():
     cases = ["x1 +", "dx1^Dx2", "dx1 + dx1^dx2", "(x1", "x1 $", "x4",
              "dx9", "x1 x2", "1/0", "(" * 5000 + "x1" + ")" * 5000,
              "x1^1000000", "9" * 5000, "((x1+x2+x3)^16)^16",
-             "*".join(["(x1+x2+x3)^16"] * 16)]
+             "*".join(["(x1+x2+x3)^16"] * 16),
+             "*".join(["(x1+x2+x3)"] * 200), "(x1+x2+x3)^64"]
     for src in cases:
         with pytest.raises(ParseError) as exc:
             parse_expression(src, ctx)
