@@ -7,32 +7,53 @@ row echelon form; subspaces compare by their canonical RREF basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+_ZERO = Fraction(0)
 
 
 def rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Each row is scaled to integers and eliminated fraction-free,
+    ``row_i <- pv*row_i - f*row_r`` divided by the gcd of its entries;
+    each pivot row is divided by its pivot once at the end, so the
+    result is the canonical RREF over the rationals, in Fractions.
+    """
+    m = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        m.append(_primitive([x.numerator * (den // x.denominator)
+                             for x in row]))
     if not m:
         return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        pv = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([pv * a - f * b
+                                   for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [row for row in m if any(x != 0 for x in row)], pivots
+    return [[Fraction(a, row[pc]) if a else _ZERO for a in row]
+            for row, pc in zip(m, pivots)], pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .calculus import (Form, MultiVec, VField, contract, deRham,
                        poincare_primitive)
@@ -80,6 +81,23 @@ def random_symmetry_vfield(rng: random.Random, omega: Form,
     Solves the linear constraint on coefficients of total degree
     <= max_deg; with closed omega these X admit Hamiltonian potentials.
     """
+    gens, ker = _symmetry_kernel(omega, max_deg)
+    X = VField.zero(omega.ctx)
+    for v in ker:
+        c = random_rational(rng)
+        if c == 0:
+            continue
+        for g, coef in zip(gens, v):
+            if coef:
+                X = X + g * (c * coef)
+    return X
+
+
+@lru_cache(maxsize=64)
+def _symmetry_kernel(omega: Form, max_deg: int) -> tuple:
+    """The monomial generators X of degree <= max_deg and a basis of the
+    coefficient vectors with L_X omega = 0, as tuples; it draws nothing
+    from a random stream, so caching it leaves every draw the same."""
     from .linalg import kernel_basis
     from .calculus import lie_derivative
 
@@ -96,15 +114,7 @@ def random_symmetry_vfield(rng: random.Random, omega: Form,
     ker = kernel_basis(rows, len(gens)) if rows else [
         [Fraction(int(i == j)) for j in range(len(gens))]
         for i in range(len(gens))]
-    X = VField.zero(ctx)
-    for v in ker:
-        c = random_rational(rng)
-        if c == 0:
-            continue
-        for g, coef in zip(gens, v):
-            if coef:
-                X = X + g * (c * coef)
-    return X
+    return tuple(gens), tuple(tuple(v) for v in ker)
 
 
 def random_observables_elem(rng: random.Random, F, max_deg: int = 1):

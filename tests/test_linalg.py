@@ -64,3 +64,101 @@ def test_rref_idempotent():
         A = rand_matrix(3, 4)
         R, pivots = rref(A)
         assert rref(R) == (R, pivots)
+
+
+def reference_rref(rows):
+    """Gauss-Jordan elimination over Fraction rows, the reference for
+    the fraction-free ``rref``."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [row for row in m if any(x != 0 for x in row)], pivots
+
+
+def _mixed_matrix(local, m, n):
+    """Mixed denominators, zero rows, all-zero and pivot-free columns,
+    and duplicated or dependent rows."""
+    dens = [1, 1, 2, 3, 4, 5, 6, 7, 12, 35]
+    rows = []
+    zero_cols = {c for c in range(n) if local.random() < 0.15}
+    for _ in range(m):
+        kind = local.random()
+        if kind < 0.1 or (kind < 0.15 and not rows):
+            rows.append([Fraction(0)] * n)
+        elif kind < 0.3 and rows:
+            a, b = local.choice(rows), local.choice(rows)
+            s, t = (Fraction(local.randint(-4, 4), local.choice(dens))
+                    for _ in range(2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.38 and rows:
+            rows.append(list(local.choice(rows)))
+        else:
+            rows.append([Fraction(0) if c in zero_cols else
+                         Fraction(local.randint(-9, 9), local.choice(dens))
+                         for c in range(n)])
+    if local.random() < 0.05:
+        rows = [[Fraction(0)] * n for _ in range(m)]
+    if local.random() < 0.2:
+        rows = [[int(x.numerator) for x in row] for row in rows]
+    return rows
+
+
+def test_rref_matches_fraction_reference():
+    local = random.Random(4096)
+    for _ in range(2000):
+        m, n = local.randint(1, 6), local.randint(1, 7)
+        A = _mixed_matrix(local, m, n)
+        R, pivots = rref(A)
+        want_R, want_pivots = reference_rref(A)
+        assert pivots == want_pivots and R == want_R
+        assert all(type(x) is Fraction for row in R for x in row)
+        assert kernel_basis(A, n) == _reference_kernel(want_R, want_pivots, n)
+        b = [Fraction(local.randint(-5, 5), local.choice([1, 2, 3]))
+             for _ in range(m)]
+        assert solve(A, b) == _reference_solve(A, b)
+        v = [Fraction(local.randint(-5, 5), local.choice([1, 4]))
+             for _ in range(n)]
+        in_span = reference_rref(A + [v])[1] == want_pivots
+        assert span_contains(A, v) == in_span
+        assert span_contains(A, A[-1])
+    assert rref([]) == reference_rref([]) == ([], [])
+
+
+def _reference_kernel(red, pivots, ncols):
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _reference_solve(rows, rhs):
+    red, pivots = reference_rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return x
