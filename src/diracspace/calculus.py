@@ -14,6 +14,8 @@ multivector in the same order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .poly import Context, Poly
 
@@ -84,11 +86,15 @@ class _Graded:
                 clean[idx] = c
         self.comps = clean
 
-    def _like(self, degree: int, comps: dict):
-        """A value of this type from a component map, whatever the
-        subclass's constructor takes."""
-        out = object.__new__(type(self))
-        _Graded.__init__(out, self.ctx, degree, comps)
+    @classmethod
+    def _raw(cls, ctx: Context, degree: int, comps: dict):
+        """Trusted constructor for results: ``comps`` maps strictly
+        increasing in-range index tuples of length ``degree`` to nonzero
+        Polys, so nothing is re-validated (a VField is built as well)."""
+        out = object.__new__(cls)
+        out.ctx = ctx
+        out.degree = degree
+        out.comps = comps
         return out
 
     @classmethod
@@ -123,22 +129,28 @@ class _Graded:
             raise ValueError("degree mismatch in sum")
         comps = dict(self.comps)
         for idx, c in other.comps.items():
-            comps[idx] = comps.get(idx, Poly.zero(self.ctx)) + c
-        return self._like(self.degree, comps)
+            prev = comps.get(idx)
+            if prev is None:
+                comps[idx] = c
+            elif (c := prev + c).is_zero():
+                del comps[idx]
+            else:
+                comps[idx] = c
+        return type(self)._raw(self.ctx, self.degree, comps)
 
     def __neg__(self):
-        return self._like(self.degree, {i: -c for i, c in self.comps.items()})
+        return type(self)._raw(self.ctx, self.degree,
+                               {i: -c for i, c in self.comps.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(self.ctx, other)
-        if isinstance(other, Poly):
-            return self._like(
-                self.degree, {i: c * other for i, c in self.comps.items()})
-        return NotImplemented
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
+        return type(self)._raw(self.ctx, self.degree, {
+            i: p for i, c in self.comps.items()
+            if not (p := c * other).is_zero()})
 
     __rmul__ = __mul__
 
@@ -175,7 +187,7 @@ class Form(_Graded):
     def to_poly(self) -> Poly:
         if self.degree != 0 and not self.is_zero():
             raise ValueError("not a 0-form")
-        return self.comps.get((), Poly.zero(self.ctx))
+        return self.comps.get(()) or Poly.zero(self.ctx)
 
     def __str__(self) -> str:
         if self.degree == 0 and not self.is_zero():
@@ -210,7 +222,7 @@ class VField(MultiVec):
         return VField(ctx, {i: Poly.constant(ctx, 1)})
 
     def component(self, i: int) -> Poly:
-        return self.comps.get((i,), Poly.zero(self.ctx))
+        return self.comps.get((i,)) or Poly.zero(self.ctx)
 
     def to_multivec(self) -> MultiVec:
         return MultiVec(self.ctx, 1, self.comps)
@@ -224,7 +236,70 @@ class VField(MultiVec):
 
 
 # ---------------------------------------------------------------------
+# integer kernels: each operand's components are read as int numerators
+# over the lcm of their denominators, products are accumulated per
+# (index tuple, exponent tuple), and every result Poly is built once
+
+
+def _scaled(comps: dict) -> tuple:
+    """([(index, (exponent, numerator) pairs), ...], den): the components
+    over their common denominator ``den``."""
+    den = lcm(*[c._den for c in comps.values()])
+    return [(idx, c._num.items() if c._den == den else
+             [(e, n * (den // c._den)) for e, n in c._num.items()])
+            for idx, c in comps.items()], den
+
+
+def _mul_into(num: dict, sign: int, fa: list, gb: list) -> None:
+    """Add sign * fa * gb into the numerator map ``num``."""
+    add, get = int.__add__, num.get
+    for e1, c1 in fa:
+        c1 *= sign
+        for e2, c2 in gb:
+            e = tuple(map(add, e1, e2))
+            num[e] = get(e, 0) + c1 * c2
+
+
+def _d(terms: list, i: int) -> list:
+    """The partial derivative d/dx_i of a numerator list."""
+    j = i - 1
+    return [(e[:j] + (e[j] - 1,) + e[j + 1:], n * e[j])
+            for e, n in terms if e[j]]
+
+
+def _comps(ctx: Context, acc: dict, den: int) -> dict:
+    """The nonzero Polys of the numerator maps in ``acc`` over ``den``."""
+    out = {}
+    for idx, num in acc.items():
+        c = Poly._collect(ctx, num, den)
+        if not c.is_zero():
+            out[idx] = c
+    return out
+
+
+def _bilinear(a: dict, b: dict, rule, ctx: Context) -> dict:
+    """Sum of sign * f * g at idx over the components (I, f) of ``a``
+    and (J, g) of ``b``, where rule(I, J) = (sign, idx); a zero sign
+    drops the pair."""
+    A, da = _scaled(a)
+    B, db = _scaled(b)
+    acc: dict = {}
+    for I, fa in A:
+        for J, gb in B:
+            sign, idx = rule(I, J)
+            if sign:
+                _mul_into(acc.setdefault(idx, {}), sign, fa, gb)
+    return _comps(ctx, acc, da * db)
+
+
+# ---------------------------------------------------------------------
 # wedge products
+
+
+@lru_cache(maxsize=4096)
+def _wedge_idx(I: tuple, J: tuple) -> tuple:
+    """(sign, sorted I + J), or (0, ()) when I and J share an axis."""
+    return _sort_sign(I + J)
 
 
 def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
@@ -234,45 +309,26 @@ def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
     deg = a.degree + b.degree
     if deg > a.ctx.dim:
         return kind.zero(a.ctx, deg)
-    out: dict = {}
-    for I, f in a.comps.items():
-        for J, g in b.comps.items():
-            sign, idx = _sort_sign(I + J)
-            if sign == 0:
-                continue
-            out[idx] = out.get(idx, Poly.zero(a.ctx)) + sign * (f * g)
-    return kind(a.ctx, deg, out)
+    return kind._raw(a.ctx, deg, _bilinear(a.comps, b.comps, _wedge_idx, a.ctx))
 
 
 # ---------------------------------------------------------------------
 # contraction
 
 
-def _contract_axis(comps: dict, i: int) -> dict:
-    """Contract a single basis covector/vector index i into a component map."""
-    out: dict = {}
-    for idx, c in comps.items():
-        if i not in idx:
-            continue
-        t = idx.index(i)
-        rest = idx[:t] + idx[t + 1:]
-        sign = -1 if t % 2 else 1
-        prev = out.get(rest)
-        out[rest] = sign * c if prev is None else prev + sign * c
-    return out
-
-
-def _contract_into(outer: dict, inner: dict, ctx: Context) -> dict:
-    """Sum over the outer components of the coefficient times the inner
-    component map with the outer basis axes contracted in order."""
-    out: dict = {}
-    for K, c in outer.items():
-        comps = inner
-        for i in K:
-            comps = _contract_axis(comps, i)
-        for idx, g in comps.items():
-            out[idx] = out.get(idx, Poly.zero(ctx)) + c * g
-    return out
+@lru_cache(maxsize=4096)
+def _contract_idx(K: tuple, I: tuple) -> tuple:
+    """(sign, rest) of contracting the axes of K in order out of I, each
+    axis at position t costing (-1)^t; (0, ()) when I lacks an axis."""
+    sign, rest = 1, I
+    for i in K:
+        if i not in rest:
+            return 0, ()
+        t = rest.index(i)
+        rest = rest[:t] + rest[t + 1:]
+        if t % 2:
+            sign = -sign
+    return sign, rest
 
 
 def contract(Y: MultiVec, a: Form) -> Form:
@@ -285,7 +341,8 @@ def contract(Y: MultiVec, a: Form) -> Form:
     deg = a.degree - Y.degree
     if deg < 0:
         return Form.zero(a.ctx, deg)
-    return Form(a.ctx, deg, _contract_into(Y.comps, a.comps, a.ctx))
+    return Form._raw(a.ctx, deg,
+                     _bilinear(Y.comps, a.comps, _contract_idx, a.ctx))
 
 
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
@@ -295,7 +352,8 @@ def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
     deg = pi.degree - alpha.degree
     if deg < 0:
         return MultiVec.zero(pi.ctx, deg)
-    return MultiVec(pi.ctx, deg, _contract_into(alpha.comps, pi.comps, pi.ctx))
+    return MultiVec._raw(pi.ctx, deg,
+                         _bilinear(alpha.comps, pi.comps, _contract_idx, pi.ctx))
 
 
 # ---------------------------------------------------------------------
@@ -306,17 +364,16 @@ def deRham(a: Form) -> Form:
     deg = a.degree + 1
     if deg > a.ctx.dim:
         return Form.zero(a.ctx, deg)
-    out: dict = {}
-    for idx, c in a.comps.items():
+    A, den = _scaled(a.comps)
+    acc: dict = {}
+    for idx, terms in A:
         for i in a.ctx.axes():
-            dc = c.partial(i)
-            if dc.is_zero():
-                continue
-            sign, merged = _sort_sign((i,) + idx)
-            if sign == 0:
-                continue
-            out[merged] = out.get(merged, Poly.zero(a.ctx)) + sign * dc
-    return Form(a.ctx, deg, out)
+            if i not in idx and (dc := _d(terms, i)):
+                sign, merged = _wedge_idx((i,), idx)
+                num = acc.setdefault(merged, {})
+                for e, n in dc:
+                    num[e] = num.get(e, 0) + sign * n
+    return Form._raw(a.ctx, deg, _comps(a.ctx, acc, den))
 
 
 def poincare_primitive(a: Form) -> Form:
@@ -356,12 +413,17 @@ def lie_derivative_direct(X: VField, a: Form) -> Form:
 
 
 def lie_bracket(X: VField, Y: VField) -> VField:
-    comps: dict = {}
-    for j in X.ctx.axes():
-        c = X(Y.component(j)) - Y(X.component(j))
-        if not c.is_zero():
-            comps[j] = c
-    return VField(X.ctx, comps)
+    """[X, Y]_j = X_i d_i Y_j - Y_i d_i X_j."""
+    _check(X, Y, MultiVec, MultiVec)
+    XS, dx = _scaled(X.comps)
+    YS, dy = _scaled(Y.comps)
+    acc: dict = {}
+    for P, Q, sign in ((XS, YS, 1), (YS, XS, -1)):
+        for (i,), fp in P:
+            for j, gq in Q:
+                if dg := _d(gq, i):
+                    _mul_into(acc.setdefault(j, {}), sign, fp, dg)
+    return VField._raw(X.ctx, 1, _comps(X.ctx, acc, dx * dy))
 
 
 def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:

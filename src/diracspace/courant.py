@@ -34,7 +34,7 @@ class SectionEp:
             raise ValueError("context mismatch")
         self.p = p
         self.X = X
-        self.alpha = Form(alpha.ctx, p, alpha.comps)
+        self.alpha = Form._raw(alpha.ctx, p, alpha.comps)
 
     @property
     def ctx(self) -> Context:

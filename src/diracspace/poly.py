@@ -98,6 +98,12 @@ class Poly:
         out._den = den
         return out
 
+    @staticmethod
+    def _collect(ctx: Context, num: dict, den: int = 1) -> "Poly":
+        """`_raw` of an accumulated map whose numerators may be zero: the
+        zeros are dropped here."""
+        return Poly._raw(ctx, {e: n for e, n in num.items() if n}, den)
+
     @property
     def terms(self) -> dict:
         """A fresh map from exponent tuples to nonzero Fraction
@@ -195,8 +201,7 @@ class Poly:
                     e = tuple(map(add, e1, e2))
                     prev = get(e)
                     num[e] = c1 * c2 if prev is None else prev + c1 * c2
-            return Poly._raw(self.ctx, {e: c for e, c in num.items() if c},
-                             self._den * other._den)
+            return Poly._collect(self.ctx, num, self._den * other._den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         p, q = other.as_integer_ratio()

@@ -285,8 +285,16 @@ class HamiltonianDatum:
         if not hamiltonian_verify(P, alpha, X):
             raise ValueError("X + d alpha is not a member of the subbundle")
         self.P = P
-        self.alpha = Form(P.ctx, P.p - 1, alpha.comps)
+        self.alpha = Form._raw(P.ctx, P.p - 1, alpha.comps)
         self.X = X
+
+    @classmethod
+    def _raw(cls, P: Presentation, alpha: Form, X: VField):
+        """Trusted constructor for sums and rational multiples of data:
+        membership in L is linear, so they are members unchecked."""
+        out = object.__new__(cls)
+        out.P, out.alpha, out.X = P, alpha, X
+        return out
 
     def is_zero(self) -> bool:
         return self.alpha.is_zero()
@@ -294,14 +302,17 @@ class HamiltonianDatum:
     def __add__(self, other: "HamiltonianDatum") -> "HamiltonianDatum":
         if self.P is not other.P:
             raise ValueError("data must share a presentation")
-        return HamiltonianDatum(self.P, self.alpha + other.alpha,
-                                self.X + other.X)
+        return HamiltonianDatum._raw(self.P, self.alpha + other.alpha,
+                                     self.X + other.X)
 
     def __neg__(self) -> "HamiltonianDatum":
-        return HamiltonianDatum(self.P, -self.alpha, -self.X)
+        return HamiltonianDatum._raw(self.P, -self.alpha, -self.X)
 
     def __mul__(self, c):
-        return HamiltonianDatum(self.P, self.alpha * c, self.X * c)
+        # only a constant multiple of a member is a member
+        make = (HamiltonianDatum._raw if isinstance(c, (int, Fraction))
+                else HamiltonianDatum)
+        return make(self.P, self.alpha * c, self.X * c)
 
     __rmul__ = __mul__
 

@@ -21,12 +21,16 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
 
 
+@lru_cache(maxsize=64)
+def _exponents(dim: int, max_deg: int) -> tuple:
+    """The exponent vectors of total degree <= max_deg, in product order."""
+    return tuple(e for e in itertools.product(range(max_deg + 1), repeat=dim)
+                 if sum(e) <= max_deg)
+
+
 def random_poly(rng: random.Random, ctx: Context, max_deg: int = 2,
                 n_terms: int = 2) -> Poly:
-    exps = [
-        e for e in itertools.product(range(max_deg + 1), repeat=ctx.dim)
-        if sum(e) <= max_deg
-    ]
+    exps = _exponents(ctx.dim, max_deg)
     terms: dict = {}
     for _ in range(n_terms):
         e = rng.choice(exps)
@@ -102,10 +106,8 @@ def _symmetry_kernel(omega: Form, max_deg: int) -> tuple:
     from .calculus import lie_derivative
 
     ctx = omega.ctx
-    monos = [e for e in itertools.product(range(max_deg + 1), repeat=ctx.dim)
-             if sum(e) <= max_deg]
     gens = [VField(ctx, {i: Poly(ctx, {e: Fraction(1)})})
-            for i in ctx.axes() for e in monos]
+            for i in ctx.axes() for e in _exponents(ctx.dim, max_deg)]
     images = [lie_derivative(X, omega) for X in gens]
     keys = sorted({(idx, e) for im in images
                    for idx, c in im.comps.items() for e in c.terms})

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from diracspace.calculus import (Form, MultiVec, VField, _sort_sign,
                                  poincare_primitive, schouten, wedge)
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_multivec, random_poly, random_vfield)
+from test_poly import _assert_canonical
 
 rng = random.Random(202)
 
@@ -193,3 +195,141 @@ def test_mixed_kinds_are_refused():
                   lambda: iota_form(wedge(Dx1, Dx2), dx1)):
         with pytest.raises(ValueError):
             mixed()
+
+
+# -- the integer kernels against the per-Poly formulas ------------------
+# The reference bodies below compose Poly operations component by
+# component, the way contract, iota_form, deRham, lie_bracket and wedge
+# were written before their loops accumulated int numerators.
+
+
+def _ref_contract_axis(comps, i):
+    out = {}
+    for idx, c in comps.items():
+        if i not in idx:
+            continue
+        t = idx.index(i)
+        rest = idx[:t] + idx[t + 1:]
+        sign = -1 if t % 2 else 1
+        prev = out.get(rest)
+        out[rest] = sign * c if prev is None else prev + sign * c
+    return out
+
+
+def _ref_contract_into(outer, inner, ctx):
+    out = {}
+    for K, c in outer.items():
+        comps = inner
+        for i in K:
+            comps = _ref_contract_axis(comps, i)
+        for idx, g in comps.items():
+            out[idx] = out.get(idx, Poly.zero(ctx)) + c * g
+    return out
+
+
+def _ref_deRham(a):
+    out = {}
+    for idx, c in a.comps.items():
+        for i in a.ctx.axes():
+            dc = c.partial(i)
+            sign, merged = _sort_sign((i,) + idx)
+            if sign and not dc.is_zero():
+                out[merged] = out.get(merged, Poly.zero(a.ctx)) + sign * dc
+    return out
+
+
+def _ref_apply(X, f):
+    out = Poly.zero(f.ctx)
+    for (i,), c in X.comps.items():
+        out = out + c * f.partial(i)
+    return out
+
+
+def _ref_lie_bracket(X, Y):
+    zero = Poly.zero(X.ctx)
+    return {(j,): _ref_apply(X, Y.comps.get((j,), zero))
+            - _ref_apply(Y, X.comps.get((j,), zero)) for j in X.ctx.axes()}
+
+
+def _ref_wedge(a, b):
+    out = {}
+    for I, f in a.comps.items():
+        for J, g in b.comps.items():
+            sign, idx = _sort_sign(I + J)
+            if sign:
+                out[idx] = out.get(idx, Poly.zero(a.ctx)) + sign * (f * g)
+    return out
+
+
+def _kernel_poly(local, ctx):
+    """0-3 terms of degree <= 2, denominators from 1, 2, 3 and 6."""
+    exps = [e for e in itertools.product(range(3), repeat=ctx.dim)
+            if sum(e) <= 2]
+    terms = {}
+    for _ in range(local.randint(0, 3)):
+        terms[local.choice(exps)] = Fraction(local.randint(-4, 4),
+                                             local.choice((1, 2, 3, 6)))
+    return Poly(ctx, terms)
+
+
+def _kernel_comps(local, ctx, degree):
+    """About half the components drawn, the others zero."""
+    return {idx: _kernel_poly(local, ctx)
+            for idx in itertools.combinations(ctx.axes(), degree)
+            if local.random() < 0.5}
+
+
+def _assert_kernel_result(got, degree, want):
+    assert got.degree == degree
+    assert got.comps == {i: c for i, c in want.items() if not c.is_zero()}
+    for idx, c in got.comps.items():
+        assert type(idx) is tuple and len(idx) == degree
+        assert all(a < b for a, b in zip(idx, idx[1:]))
+        assert not idx or 1 <= idx[0] and idx[-1] <= got.ctx.dim
+        assert not c.is_zero()
+        _assert_canonical(c)
+
+
+def test_kernels_match_per_poly_reference():
+    local = random.Random(8128)
+    for _ in range(600):
+        ctx = Context(local.randint(1, 5))
+        n = ctx.dim
+        p, q = local.randint(0, n), local.randint(0, n)
+        a = Form(ctx, p, _kernel_comps(local, ctx, p))
+        b = Form(ctx, q, _kernel_comps(local, ctx, q))
+        X = VField(ctx, {i: _kernel_poly(local, ctx) for i in ctx.axes()
+                         if local.random() < 0.7})
+        Z = VField(ctx, {i: _kernel_poly(local, ctx) for i in ctx.axes()
+                         if local.random() < 0.7})
+        r = local.randint(0, p)
+        Y = MultiVec(ctx, r, _kernel_comps(local, ctx, r))
+        pi = MultiVec(ctx, q, b.comps)
+        al = Form(ctx, r, Y.comps)
+
+        _assert_kernel_result(contract(X, a), p - 1,
+                              _ref_contract_into(X.comps, a.comps, ctx))
+        _assert_kernel_result(contract(Y, a), p - r,
+                              _ref_contract_into(Y.comps, a.comps, ctx))
+        if r <= q:
+            _assert_kernel_result(iota_form(al, pi), q - r,
+                                  _ref_contract_into(al.comps, pi.comps,
+                                                     ctx))
+        if p < n:
+            _assert_kernel_result(deRham(a), p + 1, _ref_deRham(a))
+        _assert_kernel_result(lie_bracket(X, Z), 1, _ref_lie_bracket(X, Z))
+        if p + q <= n:
+            _assert_kernel_result(wedge(a, b), p + q, _ref_wedge(a, b))
+            _assert_kernel_result(wedge(Y, pi), r + q, _ref_wedge(Y, pi))
+
+        # cancellations, across sums and inside one kernel call
+        for zero in (a - a, contract(X, a) + contract(-X, a),
+                     contract(X, contract(X, a)) if p else a - a,
+                     lie_bracket(X, X), wedge(X, X),
+                     deRham(deRham(a)) if p + 2 <= n else a - a,
+                     (a - a) * _kernel_poly(local, ctx), 0 * a,
+                     Fraction(1, 6) * a - a * Fraction(1, 6)):
+            assert zero.is_zero() and zero.comps == {}
+        for s in (a + b if p == q else a + a, -a, Fraction(-5, 6) * a,
+                  a * _kernel_poly(local, ctx)):
+            _assert_kernel_result(s, s.degree, s.comps)

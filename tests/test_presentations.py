@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +152,29 @@ def test_hamiltonian_solve_rejects_nonconstant_coefficients():
     P = GraphForm(3, 2, w)
     with pytest.raises(ValueError):
         hamiltonian_solve(P, random_form(rng, ctx3, 1))
+
+
+def test_sums_and_multiples_of_data_stay_hamiltonian():
+    # HamiltonianDatum arithmetic skips hamiltonian_verify because
+    # membership in L is linear; this checks that property directly
+    local = random.Random(4711)
+    presentations = [
+        GraphForm(3, 2, Form.basis(ctx3, (1, 2, 3))),
+        GraphForm(4, 1, Form(ctx4, 2, {(1, 2): Poly.constant(ctx4, 1),
+                                       (3, 4): Poly.constant(ctx4, 2)})),
+        Regular(4, 2, [1, 2], Form.basis(ctx4, (1, 2, 3))),
+        Regular(5, 2, [1, 2, 3], Form.basis(ctx5, (1, 2, 3))),
+    ]
+    for P in presentations:
+        data = []
+        while len(data) < 6:
+            al = random_form(local, P.ctx, P.p - 1, max_deg=local.randint(0, 2))
+            X = hamiltonian_solve(P, al)
+            if X is not None:
+                data.append(HamiltonianDatum(P, al, X))
+        for a, b in zip(data, data[1:]):
+            c = Fraction(local.randint(-9, 9), local.choice((1, 2, 3, 6)))
+            for s in (a + b, -a, c * a, a * c, a + (-a)):
+                assert hamiltonian_verify(P, s.alpha, s.X)
+                assert s.alpha.degree == P.p - 1
+                assert s.X.ctx == P.ctx and s.P is P
