@@ -172,6 +172,8 @@ def _linfty_family(args, rng):
 
 
 def cmd_check_linfty(args) -> int:
+    _require(args.arity_max is None or args.arity_max >= 1,
+             f"--arity-max must be >= 1, got {args.arity_max}")
     rng = random.Random(args.seed)
     with _reading_input():
         F, depth, rand_elem = _linfty_family(args, rng)
@@ -340,8 +342,9 @@ def cmd_multidirac_tiers(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    _require(args.arity_max is None or args.arity_max <= ORACLE_MAX_ARITY,
-             f"--arity-max must be <= {ORACLE_MAX_ARITY}, "
+    _require(args.arity_max is None
+             or 2 <= args.arity_max <= ORACLE_MAX_ARITY,
+             f"need 2 <= --arity-max <= {ORACLE_MAX_ARITY}, "
              f"got {args.arity_max}")
     rng = random.Random(args.seed)
     ctx = _context(args.dim)

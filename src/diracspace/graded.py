@@ -22,7 +22,6 @@ against the direct formulas pins every convention choice.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -278,7 +277,18 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
 
     ``elems`` is a list of (GPoly, complex degree k); the inner delta is
     the restriction of {S - H, .} to the top degree k = r - 1.  The
-    result is converted from the symmetric to the skew family convention
+    Koszul-signed sum over the orderings of the elements that start with
+    a top-degree one is regrouped by bilinearity into a sum over subsets
+    (Voronov, math/0304038; Getzler, arXiv:1010.5859): with parities
+    p_i = (k_i - r) mod 2, T[{}] = S - H and
+
+        T[A] = sum_{j in A} (-1)^{p_j sum_{k in A, k > j} p_k} {T[A - j], a_j},
+
+    where a term with A - j empty counts only for a top-degree a_j.
+    Putting a_j last adds exactly its inversions against the larger
+    indices in A, whatever the order before it, so T[A] is the signed
+    sum over the orderings of A; a zero T[A] is dropped.  The result
+    T[all] is converted from the symmetric to the skew family convention
     by (-1)^{C(n-1,2)} together with the decalage sign
     (-1)^{sum_i (n-i) d_i} built from the skew degrees d_i = k_i - r + 1.
     """
@@ -290,16 +300,22 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
         Sd = Sd - encode_form(r, H)
     if n == 1:
         return gbracket(Sd, elems[0][0])
-    parities = [(k - r) % 2 for _, k in elems]
-    total = GPoly.zero(r, ctx)
-    for sigma in itertools.permutations(range(n)):
-        if elems[sigma[0]][1] != r - 1:
-            continue
-        eps = _sort_sign(sigma, parities.__getitem__)[0]
-        cur = gbracket(Sd, elems[sigma[0]][0])
-        for idx in sigma[1:]:
-            cur = gbracket(cur, elems[idx][0])
-        total = total + eps * cur
+    top = sum(1 << i for i, (_, k) in enumerate(elems) if k == r - 1)
+    odd = sum(1 << i for i, (_, k) in enumerate(elems) if (k - r) % 2)
+    T = {0: Sd}
+    for A in range(1, 1 << n):   # every A - j comes before A
+        acc: dict = {}
+        for j in range(n):
+            rest = A ^ (1 << j)
+            if rest > A or rest not in T or not (rest or top >> j & 1):
+                continue
+            neg = odd >> j & 1 and bin((odd & A) >> (j + 1)).count("1") % 2
+            for key, c in gbracket(T[rest], elems[j][0]).terms.items():
+                acc[key] = acc.get(key, 0) + (-c if neg else c)
+        TA = GPoly(r, ctx, acc)
+        if TA.terms:
+            T[A] = TA
+    total = T.get((1 << n) - 1, GPoly.zero(r, ctx))
     dec = sum((n - i) * (k - r + 1) for i, (_, k) in enumerate(elems, 1))
     conv = -1 if (_binom2(n - 1) + dec) % 2 else 1
     return (conv * structure_constant(n)) * total

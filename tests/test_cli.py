@@ -44,6 +44,11 @@ def test_parse_command_bad_input(capsys):
     ["multidirac-tiers", "--dim", "2", "--p", "3"],
     ["oracle-compare", "--dim", "0"],
     ["oracle-compare", "--arity-max", "9"],
+    ["oracle-compare", "--arity-max", "1"],
+    ["oracle-compare", "--arity-max", "0"],
+    ["oracle-compare", "--arity-max", "-1"],
+    ["check-linfty", "--family", "getzler", "--arity-max", "0"],
+    ["check-linfty", "--family", "getzler", "--arity-max", "-2"],
     ["check-linfty", "--family", "getzler", "--trials", "0"],
     ["check-morphism", "--sigma", "dx1^dx2", "--trials", "-3"],
     ["lagrangian-roundtrip", "--trials", "0"],

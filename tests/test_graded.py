@@ -1,15 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from diracspace.poly import Context, Poly
-from diracspace.calculus import Form, deRham
+from diracspace.calculus import Form, _sort_sign, deRham
 from diracspace.courant import SectionEp
-from diracspace.graded import (GPoly, decode, derived_check, encode_element,
-                               encode_form, encode_section, encode_vfield,
-                               gbracket, oracle_bracket, oracle_compare,
-                               s_poly)
+from diracspace import graded
+from diracspace.graded import (GPoly, _binom2, decode, derived_check,
+                               encode_element, encode_form, encode_section,
+                               encode_vfield, gbracket, oracle_bracket,
+                               oracle_compare, s_poly, structure_constant)
 from diracspace.linfty import TwistedSectionsFamily
 from diracspace.sampling import random_form, random_poly, random_vfield
 
@@ -196,6 +198,78 @@ def test_oracle_matches_direct_arity5():
     F = TwistedSectionsFamily(4, ctx4, None)
     tuples = [[_rand_elem(F, 0) for _ in range(5)]]
     assert oracle_compare(F, tuples) == []
+
+
+def _permutation_oracle(r, ctx, elems, H=None):
+    """Reference for ``oracle_bracket``: the same derived bracket as one
+    nested ``gbracket`` chain per ordering that starts with a top-degree
+    element, each with the Koszul sign of its permutation."""
+    n = len(elems)
+    Sd = s_poly(r, ctx)
+    if H is not None:
+        Sd = Sd - encode_form(r, H)
+    parities = [(k - r) % 2 for _, k in elems]
+    total = GPoly.zero(r, ctx)
+    for sigma in itertools.permutations(range(n)):
+        if elems[sigma[0]][1] != r - 1:
+            continue
+        eps = _sort_sign(sigma, parities.__getitem__)[0]
+        cur = gbracket(Sd, elems[sigma[0]][0])
+        for idx in sigma[1:]:
+            cur = gbracket(cur, elems[idx][0])
+        total = total + eps * cur
+    dec = sum((n - i) * (k - r + 1) for i, (_, k) in enumerate(elems, 1))
+    conv = -1 if (_binom2(n - 1) + dec) % 2 else 1
+    return (conv * structure_constant(n)) * total
+
+
+def _raw_gpoly(wrng, r, ctx, deg):
+    """Two or three terms, each on a word of 1-3 generators mixing v, p
+    and P with total degree ``deg``."""
+    gens = [(k, i) for k in "vpP" for i in range(ctx.dim)]
+    terms = {}
+    while len(terms) < wrng.randint(2, 3):
+        word = tuple(wrng.sample(gens, wrng.randint(1, 3)))
+        if sum(graded._gen_degree(g, r) for g in word) == deg:
+            e = tuple(wrng.randint(0, 1) for _ in range(ctx.dim))
+            terms[(e, word)] = Fraction(wrng.choice((-3, -2, -1, 1, 2, 3)))
+    return GPoly(r, ctx, terms)
+
+
+def test_oracle_subset_sum_matches_permutation_sum():
+    """Raw GPolys with mixed parities: encoded complex elements make most
+    sums vanish by structure, and equal parities let a sign error cancel.
+    Arity 4 is left out because its structure constant is B_3 = 0."""
+    wrng = random.Random(1729)
+    H = Form(ctx3, 3, {(1, 2, 3): random_poly(wrng, ctx3, 1)})
+    live = 0
+    for t in range(90):
+        r, n = wrng.choice((2, 3)), (2, 3, 5)[t % 3]
+        degs = [r - 1] + [wrng.choice((r - 1, r, r + 1)) for _ in range(n - 1)]
+        wrng.shuffle(degs)
+        elems = [(_raw_gpoly(wrng, r, ctx3, k), k) for k in degs]
+        Ht = H if r == 2 and t % 2 else None
+        want = _permutation_oracle(r, ctx3, elems, Ht)
+        assert oracle_bracket(r, ctx3, elems, Ht) == want, (t, r, degs)
+        live += not want.is_zero()
+    assert live >= 75
+
+
+def test_oracle_gbracket_count_is_subset_bound(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return gbracket(a, b)
+
+    monkeypatch.setattr(graded, "gbracket", counting)
+    wrng = random.Random(31)
+    for n in range(2, 6):
+        r = 2
+        elems = [(_raw_gpoly(wrng, r, ctx3, r - 1), r - 1) for _ in range(n)]
+        calls.clear()
+        oracle_bracket(r, ctx3, elems)
+        assert 0 < len(calls) <= n * 2 ** (n - 1)
 
 
 def test_encode_element_zero_needs_context():
