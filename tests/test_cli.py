@@ -44,11 +44,6 @@ def test_parse_command_bad_input(capsys):
     ["multidirac-tiers", "--dim", "2", "--p", "3"],
     ["oracle-compare", "--dim", "0"],
     ["oracle-compare", "--arity-max", "9"],
-    ["oracle-compare", "--arity-max", "1"],
-    ["oracle-compare", "--arity-max", "0"],
-    ["oracle-compare", "--arity-max", "-1"],
-    ["check-linfty", "--family", "getzler", "--arity-max", "0"],
-    ["check-linfty", "--family", "getzler", "--arity-max", "-2"],
     ["check-linfty", "--family", "getzler", "--trials", "0"],
     ["check-morphism", "--sigma", "dx1^dx2", "--trials", "-3"],
     ["lagrangian-roundtrip", "--trials", "0"],
@@ -74,6 +69,11 @@ def test_parse_command_bad_input(capsys):
      "dx1^dx2"],
     ["check-linfty", "--family", "observables", "--dim", "4", "--p", "2",
      "--omega", "x4*dx1^dx2^dx3"],
+    ["oracle-compare", "--arity-max", "1"],
+    ["oracle-compare", "--arity-max", "0"],
+    ["oracle-compare", "--arity-max", "-1"],
+    ["check-linfty", "--family", "getzler", "--arity-max", "0"],
+    ["check-linfty", "--family", "getzler", "--arity-max", "-2"],
 ])
 def test_out_of_range_arguments_exit_2(capsys, argv):
     assert main(argv) == 2
