@@ -227,8 +227,8 @@ def _raw_gpoly(wrng, r, ctx, deg):
     """Two or three terms, each on a word of 1-3 generators mixing v, p
     and P with total degree ``deg``."""
     gens = [(k, i) for k in "vpP" for i in range(ctx.dim)]
-    terms = {}
-    while len(terms) < wrng.randint(2, 3):
+    terms, size = {}, wrng.randint(2, 3)
+    while len(terms) < size:
         word = tuple(wrng.sample(gens, wrng.randint(1, 3)))
         if sum(graded._gen_degree(g, r) for g in word) == deg:
             e = tuple(wrng.randint(0, 1) for _ in range(ctx.dim))
