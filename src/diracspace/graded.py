@@ -13,7 +13,7 @@ extended as a biderivation of degree -r,
     {a, bc} = {a, b} c + (-1)^{(|a| - r) |b|} b {a, c},
 
 so on two monomials it is a signed sum over conjugate factor pairs
-(``gbracket`` states it).  Forms embed as words in the v_i, vector
+(``_bracket_rule`` states it).  Forms embed as words in the v_i, vector
 fields as multiples of the p_i, and S = sum_i v_i P_i satisfies
 {S, S} = 0 with {S, xi} = d xi.  The n-ary brackets are recovered as
 symmetrized derived brackets of delta = {S - H, .}; comparing them
@@ -22,8 +22,9 @@ against the direct formulas pins every convention choice.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial, gcd, lcm
 
 from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
@@ -39,33 +40,90 @@ def _gen_degree(gen, r: int) -> int:
     return _KIND_DEG[gen[0]](r)
 
 
-class GPoly:
-    """Polynomial in x_i, v_i, p_i, P_i; terms keyed by (exponents, word)."""
+@lru_cache(maxsize=4096)
+def _normal(word: tuple, rp: int) -> tuple:
+    """(Koszul sign, normal form) of a word of generators; ``rp`` is
+    r mod 2, which fixes the parity of every generator."""
+    return _sort_sign(word, lambda g: _gen_degree(g, rp) % 2)
 
-    __slots__ = ("r", "ctx", "terms")
+
+class GPoly:
+    """Polynomial in x_i, v_i, p_i, P_i.
+
+    Storage as in `Poly`: ``_num`` maps (exponents, word) keys, the word
+    in normal form, to nonzero `int` numerators over the positive common
+    denominator ``_den``, with ``gcd(_den, *_num.values()) == 1``.
+    `terms` reads the coefficients as nonzero Fractions.
+    """
+
+    __slots__ = ("r", "ctx", "_num", "_den")
 
     def __init__(self, r: int, ctx: Context, terms: dict | None = None):
         self.r = r
         self.ctx = ctx
-        clean = {}
-
-        def odd(gen):
-            return _gen_degree(gen, r) % 2
-
+        num: dict = {}
+        den = 1
         for (e, gens), c in (terms or {}).items():
-            sign, word = _sort_sign(gens, odd)
-            if sign == 0 or c == 0:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError("expected an integer or Fraction, got "
+                                f"{type(c).__name__}")
+            e = tuple(e)
+            if len(e) != ctx.dim or any(k < 0 for k in e):
+                raise ValueError(f"bad exponent vector {e} for dim {ctx.dim}")
+            for g in gens:
+                if not (len(g) == 2 and g[0] in _KIND_DEG
+                        and isinstance(g[1], int) and 0 <= g[1] < ctx.dim):
+                    raise ValueError(f"bad generator {g} for dim {ctx.dim}")
+            sign, word = _normal(tuple(gens), r % 2)
+            n, d = c.as_integer_ratio()
+            if not (sign and n):
                 continue
+            if den % d:
+                scale = d // gcd(den, d)
+                for k in num:
+                    num[k] *= scale
+                den *= scale
             key = (e, word)
-            clean[key] = clean.get(key, Fraction(0)) + sign * c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
+            num[key] = num.get(key, 0) + sign * n * (den // d)
+        # words that share a normal form may cancel or leave a content
+        out = GPoly._collect(r, ctx, num, den)
+        self._num = out._num
+        self._den = out._den
+
+    @staticmethod
+    def _raw(r: int, ctx: Context, num: dict, den: int = 1) -> "GPoly":
+        """Trusted constructor for arithmetic results: ``num`` maps valid
+        keys with normal words to nonzero ints and ``den`` is positive;
+        the content is divided out here."""
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {k: n // g for k, n in num.items()}
+                den //= g
+        out = object.__new__(GPoly)
+        out.r = r
+        out.ctx = ctx
+        out._num = num
+        out._den = den
+        return out
+
+    @staticmethod
+    def _collect(r: int, ctx: Context, num: dict, den: int = 1) -> "GPoly":
+        """`_raw` of an accumulated map whose numerators may be zero."""
+        return GPoly._raw(r, ctx, {k: n for k, n in num.items() if n}, den)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from (exponents, word) to nonzero Fractions."""
+        den = self._den
+        return {k: Fraction(n, den) for k, n in self._num.items()}
 
     @staticmethod
     def zero(r: int, ctx: Context) -> "GPoly":
-        return GPoly(r, ctx)
+        return GPoly._raw(r, ctx, {})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def _check(self, other: "GPoly"):
         if self.r != other.r or self.ctx != other.ctx:
@@ -73,63 +131,117 @@ class GPoly:
 
     def __add__(self, other: "GPoly") -> "GPoly":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return GPoly(self.r, self.ctx, out)
+        return _combine(self.r, self.ctx, [(1, self), (1, other)])
 
     def __neg__(self) -> "GPoly":
-        return GPoly(self.r, self.ctx,
-                     {k: -c for k, c in self.terms.items()})
+        return GPoly._raw(self.r, self.ctx,
+                          {k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other: "GPoly") -> "GPoly":
-        return self + (-other)
+        self._check(other)
+        return _combine(self.r, self.ctx, [(1, self), (-1, other)])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GPoly(self.r, self.ctx,
-                         {k: c * other for k, c in self.terms.items()})
-        self._check(other)
-        out: dict = {}
-        for (ea, ga), ca in self.terms.items():
-            for (eb, gb), cb in other.terms.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                key = (e, ga + gb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GPoly(self.r, self.ctx, out)
+        if isinstance(other, GPoly):
+            self._check(other)
+            rp = self.r % 2
+            num: dict = {}
+            for (ea, ga), ca in self._num.items():
+                for (eb, gb), cb in other._num.items():
+                    s, word = _normal(ga + gb, rp)
+                    if s:
+                        key = (tuple(map(int.__add__, ea, eb)), word)
+                        num[key] = num.get(key, 0) + s * ca * cb
+            return GPoly._collect(self.r, self.ctx, num,
+                                  self._den * other._den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, q = other.as_integer_ratio()
+        if not p:
+            return GPoly.zero(self.r, self.ctx)
+        return GPoly._raw(self.r, self.ctx,
+                          {k: p * n for k, n in self._num.items()},
+                          self._den * q)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GPoly) and self.r == other.r
-                and self.ctx == other.ctx and self.terms == other.terms)
+                and self.ctx == other.ctx and self._den == other._den
+                and self._num == other._num)
 
     def degree(self):
         """Total degree if homogeneous, else None."""
         degs = {sum(_gen_degree(g, self.r) for g in gens)
-                for (_, gens) in self.terms}
+                for (_, gens) in self._num}
         return degs.pop() if len(degs) == 1 else (0 if not degs else None)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         bits = []
-        for (e, gens), c in sorted(self.terms.items()):
+        for (e, gens), n in sorted(self._num.items()):
             mono = "*".join([f"x{i+1}^{k}" if k > 1 else f"x{i+1}"
                              for i, k in enumerate(e) if k]
                             + [f"{g[0]}{g[1]}" for g in gens]) or "1"
-            bits.append(f"{c}*{mono}")
+            bits.append(f"{Fraction(n, self._den)}*{mono}")
         return " + ".join(bits)
 
     def __repr__(self) -> str:
         return f"GPoly({self})"
 
 
-def gbracket(a: GPoly, b: GPoly) -> GPoly:
-    """The bracket {a, b}, summed over conjugate factor pairs.
+def _combine(r: int, ctx: Context, parts) -> GPoly:
+    """The sum of s * g over the pairs (s, g) of ``parts``, s = 1 or -1,
+    accumulated over the lcm of the denominators."""
+    den = lcm(*(g._den for _, g in parts))
+    acc: dict = {}
+    get = acc.get
+    for s, g in parts:
+        scale = s * (den // g._den)
+        for k, n in g._num.items():
+            acc[k] = get(k, 0) + scale * n
+    return GPoly._collect(r, ctx, acc, den)
 
-    For terms x^ea*ga and x^eb*gb, with |w| the summed degree of a word
-    and D = |gb| - r, each conjugate pair writes one entry:
+
+def gbracket(a: GPoly, b: GPoly) -> GPoly:
+    """The bracket {a, b}: for each pair of terms x^ea*ga and x^eb*gb,
+    the entries of `_bracket_rule` (ga, gb), with the int numerators over
+    a._den * b._den."""
+    a._check(b)
+    r = a.r
+    out: dict = {}
+    get = out.get
+    add = int.__add__
+    for (ea, ga), ca in a._num.items():
+        for (eb, gb), cb in b._num.items():
+            rule = _bracket_rule(ga, gb, r)
+            if not rule:
+                continue
+            c = ca * cb
+            e = tuple(map(add, ea, eb))
+            for src, i, s, word in rule:
+                if src:
+                    k = (eb if src == 1 else ea)[i]
+                    if not k:
+                        continue
+                    key = (e[:i] + (e[i] - 1,) + e[i + 1:], word)
+                    n = s * k * c
+                else:
+                    key = (e, word)
+                    n = s * c
+                out[key] = get(key, 0) + n
+    return GPoly._collect(r, a.ctx, out, a._den * b._den)
+
+
+@lru_cache(maxsize=4096)
+def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
+    """The bracket of x^ea*ga with x^eb*gb, summed over conjugate factor
+    pairs, as entries (src, i, sign, word) that depend on the words only.
+    An entry adds sign * x^(ea+eb) * word; for src 1 it is multiplied by
+    eb[i] and for src 2 by ea[i], and the exponent of x_i is lowered by
+    one (src 0 has i = None).  With |w| the summed degree of a word and
+    D = |gb| - r:
 
       ga[j] against gb[l], {p_i, v_i} = 1 and {v_i, p_i} = (-1)^r:
         (-1)^{|ga[j+1:]| D + (|ga[j]| - r) |gb[:l]|}
@@ -141,50 +253,43 @@ def gbracket(a: GPoly, b: GPoly) -> GPoly:
 
     The signs are the two Leibniz rules of the module docstring, unrolled:
     the first one moves the bracket past ga[j+1:], the second one past
-    gb[:l].  Each word is put in normal form, with its Koszul sign, once,
-    when the result GPoly is built.
+    gb[:l].  Each word is given in normal form, its Koszul sign folded
+    into the entry's sign; an entry whose word vanishes is left out.
     """
-    a._check(b)
-    r = a.r
-    out: dict = {}
+    rp = r % 2
+    dga = [_gen_degree(g, r) for g in ga]
+    dgb = [_gen_degree(g, r) for g in gb]
+    D = sum(dgb) - r
+    rule = []
 
-    def put(e, i, word, c):
-        """Add c * x^e * word, with the exponent of x_i lowered by one
-        when i is not None."""
-        if i is not None:
-            e = e[:i] + (e[i] - 1,) + e[i + 1:]
-        out[(e, word)] = out.get((e, word), 0) + c
+    def put(src, i, word, sign):
+        s, word = _normal(word, rp)
+        if s:
+            rule.append((src, i, s * sign, word))
 
-    for (ea, ga), ca in a.terms.items():
-        dga = [_gen_degree(g, r) for g in ga]
-        for (eb, gb), cb in b.terms.items():
-            dgb = [_gen_degree(g, r) for g in gb]
-            D = sum(dgb) - r
-            e = tuple(x + y for x, y in zip(ea, eb))
-            after = sum(dga)
-            for j, f in enumerate(ga):
-                after -= dga[j]
-                c = -ca * cb if after * D % 2 else ca * cb
-                head, tail = ga[:j], ga[j + 1:]
-                if f[0] == "P":
-                    if eb[f[1]]:
-                        put(e, f[1], head + gb + tail, eb[f[1]] * c)
-                    continue
-                before = 0
-                for l, g in enumerate(gb):
-                    if g[1] == f[1] and f[0] + g[0] in ("pv", "vp"):
-                        s = (dga[j] - r) * before + (r if f[0] == "v" else 0)
-                        put(e, None, head + gb[:l] + gb[l + 1:] + tail,
-                            -c if s % 2 else c)
-                    before += dgb[l]
-            c = -ca * cb if sum(dga) * D % 2 else ca * cb
-            before = 0
-            for l, g in enumerate(gb):
-                if g[0] == "P" and ea[g[1]]:
-                    put(e, g[1], gb[:l] + gb[l + 1:] + ga,
-                        (ea[g[1]] if r * before % 2 else -ea[g[1]]) * c)
-                before += dgb[l]
-    return GPoly(r, a.ctx, out)
+    after = sum(dga)
+    for j, f in enumerate(ga):
+        after -= dga[j]
+        c = -1 if after * D % 2 else 1
+        head, tail = ga[:j], ga[j + 1:]
+        if f[0] == "P":
+            put(1, f[1], head + gb + tail, c)
+            continue
+        before = 0
+        for l, g in enumerate(gb):
+            if g[1] == f[1] and f[0] + g[0] in ("pv", "vp"):
+                s = (dga[j] - r) * before + (r if f[0] == "v" else 0)
+                put(0, None, head + gb[:l] + gb[l + 1:] + tail,
+                    -c if s % 2 else c)
+            before += dgb[l]
+    c = -1 if sum(dga) * D % 2 else 1
+    before = 0
+    for l, g in enumerate(gb):
+        if g[0] == "P":
+            put(2, g[1], gb[:l] + gb[l + 1:] + ga,
+                c if r * before % 2 else -c)
+        before += dgb[l]
+    return tuple(rule)
 
 
 # -- encoding the complex ----------------------------------------------
@@ -196,7 +301,7 @@ def encode_form(r: int, alpha: Form) -> GPoly:
     for idx, poly in alpha.comps.items():
         word = tuple(("v", i - 1) for i in idx)
         for e, c in poly.terms.items():
-            terms[(e, word)] = terms.get((e, word), Fraction(0)) + c
+            terms[(e, word)] = c
     return GPoly(r, ctx, terms)
 
 
@@ -205,8 +310,7 @@ def encode_vfield(r: int, X: VField) -> GPoly:
     terms = {}
     for i in ctx.axes():
         for e, c in X.component(i).terms.items():
-            key = (e, (("p", i - 1),))
-            terms[key] = terms.get(key, Fraction(0)) + c
+            terms[(e, (("p", i - 1),))] = c
     return GPoly(r, ctx, terms)
 
 
@@ -266,7 +370,7 @@ def _binom2(n: int) -> int:
 def structure_constant(n: int) -> Fraction:
     """c_{n-1} = (-1)^{C(n+1,2)} B_{n-1} / (n-1)!."""
     sign = -1 if _binom2(n + 1) % 2 else 1
-    return sign * bernoulli(n - 1) / math.factorial(n - 1)
+    return sign * bernoulli(n - 1) / factorial(n - 1)
 
 
 ORACLE_MAX_ARITY = 5
@@ -291,6 +395,8 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     T[all] is converted from the symmetric to the skew family convention
     by (-1)^{C(n-1,2)} together with the decalage sign
     (-1)^{sum_i (n-i) d_i} built from the skew degrees d_i = k_i - r + 1.
+    Where the structure constant vanishes (B_3 = B_5 = 0 at n = 4, 6) the
+    result is zero and no bracket is taken.
     """
     n = len(elems)
     if n > ORACLE_MAX_ARITY:
@@ -298,27 +404,32 @@ def oracle_bracket(r: int, ctx: Context, elems, H: Form | None = None) -> GPoly:
     Sd = s_poly(r, ctx)
     if H is not None:
         Sd = Sd - encode_form(r, H)
+    for g, _ in elems:
+        Sd._check(g)
     if n == 1:
         return gbracket(Sd, elems[0][0])
+    const = structure_constant(n)
+    if not const:
+        return GPoly.zero(r, ctx)
     top = sum(1 << i for i, (_, k) in enumerate(elems) if k == r - 1)
     odd = sum(1 << i for i, (_, k) in enumerate(elems) if (k - r) % 2)
     T = {0: Sd}
     for A in range(1, 1 << n):   # every A - j comes before A
-        acc: dict = {}
+        parts = []
         for j in range(n):
             rest = A ^ (1 << j)
             if rest > A or rest not in T or not (rest or top >> j & 1):
                 continue
             neg = odd >> j & 1 and bin((odd & A) >> (j + 1)).count("1") % 2
-            for key, c in gbracket(T[rest], elems[j][0]).terms.items():
-                acc[key] = acc.get(key, 0) + (-c if neg else c)
-        TA = GPoly(r, ctx, acc)
-        if TA.terms:
-            T[A] = TA
+            parts.append((-1 if neg else 1, gbracket(T[rest], elems[j][0])))
+        if parts:
+            TA = _combine(r, ctx, parts)
+            if not TA.is_zero():
+                T[A] = TA
     total = T.get((1 << n) - 1, GPoly.zero(r, ctx))
     dec = sum((n - i) * (k - r + 1) for i, (_, k) in enumerate(elems, 1))
     conv = -1 if (_binom2(n - 1) + dec) % 2 else 1
-    return (conv * structure_constant(n)) * total
+    return (conv * const) * total
 
 
 def encode_element(r: int, a: GradedElem, ctx: Context | None = None):

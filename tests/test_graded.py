@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -33,10 +34,6 @@ def rand_gpoly(r, ctx, nterms=3):
         c = Fraction(rng.randint(-3, 3))
         out = out + GPoly(r, ctx, {(e, word): c})
     return out
-
-
-def _degree(g):
-    return g.degree()
 
 
 def test_gbracket_graded_antisymmetry():
@@ -269,7 +266,16 @@ def test_oracle_gbracket_count_is_subset_bound(monkeypatch):
         elems = [(_raw_gpoly(wrng, r, ctx3, r - 1), r - 1) for _ in range(n)]
         calls.clear()
         oracle_bracket(r, ctx3, elems)
-        assert 0 < len(calls) <= n * 2 ** (n - 1)
+        if n == 4:
+            # B_3 = 0: the zero result is returned without a bracket,
+            # after the context check
+            assert not calls
+            with pytest.raises(ValueError):
+                oracle_bracket(r, ctx4, elems)
+            with pytest.raises(ValueError):
+                oracle_bracket(3, ctx3, elems)
+        else:
+            assert 0 < len(calls) <= n * 2 ** (n - 1)
 
 
 def test_encode_element_zero_needs_context():
@@ -278,3 +284,202 @@ def test_encode_element_zero_needs_context():
         encode_element(2, GradedElem.zero())
     g, k = encode_element(2, GradedElem.zero(), ctx3)
     assert g.is_zero() and k == 1
+
+
+def test_public_constructor_refuses_bad_input():
+    ctx = Context(2)
+    v0 = (("v", 0),)
+    with pytest.raises(TypeError):
+        GPoly(2, ctx, {((0, 0), v0): 0.5})
+    for terms in ({((0, 0, 1), v0): 1}, {((0, -1), v0): 1},
+                  {((0, 0), (("q", 7),)): 1}, {((0, 0), (("p", 2),)): 1}):
+        with pytest.raises(ValueError):
+            GPoly(2, ctx, terms)
+
+
+class _RefGPoly:
+    """The Fraction GPoly of 748ffbe: terms keyed by (exponents, word),
+    each word sorted with its Koszul sign when the object is built."""
+
+    def __init__(self, r, ctx, terms=None):
+        self.r = r
+        self.ctx = ctx
+        clean = {}
+
+        def odd(gen):
+            return graded._gen_degree(gen, r) % 2
+
+        for (e, gens), c in (terms or {}).items():
+            sign, word = _sort_sign(gens, odd)
+            if sign == 0 or c == 0:
+                continue
+            key = (e, word)
+            clean[key] = clean.get(key, Fraction(0)) + sign * c
+        self.terms = {k: v for k, v in clean.items() if v != 0}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, Fraction(0)) + c
+        return _RefGPoly(self.r, self.ctx, out)
+
+    def __neg__(self):
+        return _RefGPoly(self.r, self.ctx,
+                         {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _RefGPoly(self.r, self.ctx,
+                             {k: c * other for k, c in self.terms.items()})
+        out = {}
+        for (ea, ga), ca in self.terms.items():
+            for (eb, gb), cb in other.terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                key = (e, ga + gb)
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+        return _RefGPoly(self.r, self.ctx, out)
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for (e, gens), c in sorted(self.terms.items()):
+            mono = "*".join([f"x{i+1}^{k}" if k > 1 else f"x{i+1}"
+                             for i, k in enumerate(e) if k]
+                            + [f"{g[0]}{g[1]}" for g in gens]) or "1"
+            bits.append(f"{c}*{mono}")
+        return " + ".join(bits)
+
+
+def _ref_gbracket(a, b):
+    """The gbracket body of 748ffbe on _RefGPoly operands."""
+    r = a.r
+    out = {}
+
+    def put(e, i, word, c):
+        if i is not None:
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        out[(e, word)] = out.get((e, word), 0) + c
+
+    deg = graded._gen_degree
+    for (ea, ga), ca in a.terms.items():
+        dga = [deg(g, r) for g in ga]
+        for (eb, gb), cb in b.terms.items():
+            dgb = [deg(g, r) for g in gb]
+            D = sum(dgb) - r
+            e = tuple(x + y for x, y in zip(ea, eb))
+            after = sum(dga)
+            for j, f in enumerate(ga):
+                after -= dga[j]
+                c = -ca * cb if after * D % 2 else ca * cb
+                head, tail = ga[:j], ga[j + 1:]
+                if f[0] == "P":
+                    if eb[f[1]]:
+                        put(e, f[1], head + gb + tail, eb[f[1]] * c)
+                    continue
+                before = 0
+                for l, g in enumerate(gb):
+                    if g[1] == f[1] and f[0] + g[0] in ("pv", "vp"):
+                        s = (dga[j] - r) * before + (r if f[0] == "v" else 0)
+                        put(e, None, head + gb[:l] + gb[l + 1:] + tail,
+                            -c if s % 2 else c)
+                    before += dgb[l]
+            c = -ca * cb if sum(dga) * D % 2 else ca * cb
+            before = 0
+            for l, g in enumerate(gb):
+                if g[0] == "P" and ea[g[1]]:
+                    put(e, g[1], gb[:l] + gb[l + 1:] + ga,
+                        (ea[g[1]] if r * before % 2 else -ea[g[1]]) * c)
+                before += dgb[l]
+    return _RefGPoly(r, a.ctx, out)
+
+
+def _ref_terms(local, r, ctx, size):
+    """Up to ``size`` terms over words of 0-4 generators drawn with
+    repeats (so repeated odd generators occur), exponents up to 2 and
+    denominators 1, 2, 3 and 6, some with their word reversed too; half
+    the time every word has the degree of the first one."""
+    gens = [(k, i) for k in "vpP" for i in range(ctx.dim)]
+    homogeneous = local.random() < 0.5
+    terms, deg = {}, None
+    for _ in range(40):
+        word = tuple(local.choice(gens) for _ in range(local.randint(0, 4)))
+        d = sum(graded._gen_degree(g, r) for g in word)
+        if homogeneous and deg is not None and d != deg:
+            continue
+        deg = d
+        e = tuple(local.randint(0, 2) for _ in range(ctx.dim))
+        terms[(e, word)] = Fraction(local.randint(-4, 4),
+                                    local.choice((1, 2, 3, 6)))
+        if len(terms) == size:
+            break
+    # reversed words share a normal form: their sum may cancel or leave
+    # a common factor for the constructor to divide out
+    for (e, word), c in list(terms.items()):
+        if len(word) > 1 and local.random() < 0.3:
+            terms[(e, word[::-1])] = local.choice((c, -c, 2 * c))
+    return terms
+
+
+def _assert_stored(g, ref):
+    """``g`` holds the value of ``ref`` in canonical int storage."""
+    def odd(gen):
+        return graded._gen_degree(gen, g.r) % 2
+
+    assert g.terms == ref.terms and str(g) == str(ref)
+    assert type(g._den) is int and g._den > 0
+    assert gcd(g._den, *g._num.values()) == 1
+    for (e, word), n in g._num.items():
+        assert type(n) is int and n != 0
+        assert type(e) is tuple and len(e) == g.ctx.dim
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert _sort_sign(word, odd) == (1, word)
+    assert g == GPoly(g.r, g.ctx, ref.terms)
+
+
+def test_int_storage_matches_fraction_reference():
+    local = random.Random(6174)
+    live = cancelled = 0
+    for t in range(400):
+        r = local.randint(1, 4)
+        ctx = Context(local.randint(1, 3))
+        ta, tb, tc = (_ref_terms(local, r, ctx, local.randint(1, 4))
+                      for _ in range(3))
+        a, b, c = (GPoly(r, ctx, x) for x in (ta, tb, tc))
+        ra, rb, rc = (_RefGPoly(r, ctx, x) for x in (ta, tb, tc))
+        q = Fraction(local.randint(-6, 6), local.choice((1, 2, 3, 6)))
+        k = local.randint(-3, 3)
+        pairs = [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (-a, -ra),
+                 (q * a, q * ra), (a * q, ra * q), (k * b, k * rb),
+                 (a * b, ra * rb),
+                 (gbracket(a, b), _ref_gbracket(ra, rb)),
+                 (gbracket(b, a), _ref_gbracket(rb, ra)),
+                 (gbracket(a, a), _ref_gbracket(ra, ra)),
+                 (gbracket(a * b, c), _ref_gbracket(ra * rb, rc)),
+                 (gbracket(a, b + c) - gbracket(a, b),
+                  _ref_gbracket(ra, rb + rc) - _ref_gbracket(ra, rb)),
+                 (gbracket(a, b) * Fraction(1, 6) + gbracket(a, c),
+                  _ref_gbracket(ra, rb) * Fraction(1, 6)
+                  + _ref_gbracket(ra, rc))]
+        for got, want in pairs:
+            _assert_stored(got, want)
+            live += not got.is_zero()
+        # a sum that cancels, and a bracket whose entries cancel inside
+        # one call ({a, a} = 0 for even |a| - r)
+        assert (a - a).is_zero() and (a - a)._den == 1
+        assert (gbracket(a, b + c) - gbracket(a, b) - gbracket(a, c)
+                ).is_zero()
+        da = a.degree()
+        if da is not None and (da - r) % 2 == 0:
+            assert gbracket(a, a).is_zero()
+            monos = [GPoly(r, ctx, {key: v}) for key, v in ta.items()]
+            cancelled += any(not gbracket(m, m2).is_zero()
+                             for m in monos for m2 in monos)
+    for r, ctx in ((2, ctx3), (3, ctx4)):
+        assert gbracket(s_poly(r, ctx), s_poly(r, ctx)).is_zero()
+    assert live >= 3500 and cancelled >= 25
