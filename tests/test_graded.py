@@ -298,8 +298,9 @@ def test_public_constructor_refuses_bad_input():
 
 
 class _RefGPoly:
-    """The Fraction GPoly of 748ffbe: terms keyed by (exponents, word),
-    each word sorted with its Koszul sign when the object is built."""
+    """Reference model: the GPoly arithmetic on Fraction terms keyed by
+    (exponents, word), each word sorted with its Koszul sign when the
+    object is built."""
 
     def __init__(self, r, ctx, terms=None):
         self.r = r
@@ -357,7 +358,8 @@ class _RefGPoly:
 
 
 def _ref_gbracket(a, b):
-    """The gbracket body of 748ffbe on _RefGPoly operands."""
+    """Reference model: gbracket as one loop over the term pairs that
+    recomputes every entry, on _RefGPoly operands."""
     r = a.r
     out = {}
 
