@@ -130,25 +130,18 @@ class LinSubspace:
         rows = [coords(Y) + coords(eta) for Y, eta in elems]
         return LinSubspace(n, p, rows, r)
 
+    # The basis is in echelon form with the multivector block first, so the
+    # rows that pivot there come first, and the rest are zero on that block.
+
     def tangent_part(self):
         """Canonical basis of the projection onto the multivector factor."""
         nm = comb(self.n, self.r)
-        return span_basis([row[:nm] for row in self.basis])
+        return [row[:nm] for row in self.basis if any(row[:nm])]
 
     def form_intersection(self):
         """Canonical basis of L intersected with the form factor."""
         nm = comb(self.n, self.r)
-        if not self.basis:
-            return []
-        coeffs = kernel_basis([[row[c] for row in self.basis]
-                               for c in range(nm)], len(self.basis))
-        rows = []
-        for cs in coeffs:
-            v = [Fraction(0)] * self.ambient_dim()
-            for c, row in zip(cs, self.basis):
-                v = [a + c * b for a, b in zip(v, row)]
-            rows.append(v[nm:])
-        return span_basis(rows)
+        return [row[nm:] for row in self.basis if not any(row[:nm])]
 
     def __repr__(self):
         return (f"LinSubspace(n={self.n}, p={self.p}, r={self.r}, "
@@ -284,24 +277,14 @@ class LagrangianPair:
 def to_pair(L: LinSubspace) -> LagrangianPair:
     """Extract (S, Omega): S is the tangent projection, and
     Omega(s_i, s_j) = iota_{s_j} alpha_i for any s_i + alpha_i in L."""
-    cls = classify(L)
-    if not cls["lagrangian"]:
+    if perp(L) != L:
         raise ValueError("input subspace is not Lagrangian")
     n, p = L.n, L.p
     ctx = L.ctx
     S = L.tangent_part()
     k = len(S)
-    # for each S basis vector pick a member of L sitting over it
-    alphas = []
-    for s in S:
-        rows = [[row[c] for row in L.basis] for c in range(n)]
-        cs = solve(rows, [Fraction(x) for x in s])
-        if cs is None:
-            raise ValueError("tangent projection inconsistent")
-        v = [Fraction(0)] * L.ambient_dim()
-        for c, row in zip(cs, L.basis):
-            v = [a + c * b for a, b in zip(v, row)]
-        alphas.append(const(Form, ctx, p, v[n:]))
+    # the echelon rows pivoting in T are the members s_i + alpha_i of L
+    alphas = [const(Form, ctx, p, row[n:]) for row in L.basis[:k]]
     Omega = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -313,34 +296,28 @@ def to_pair(L: LinSubspace) -> LagrangianPair:
 
 def _omega_extension_to_p_forms(pair: LagrangianPair):
     """Solve for beta_i in /\\^p T* with iota_{s_j} beta_i = Omega(s_i, s_j)
-    for all i, j (including the diagonal zero); None if not extendable."""
+    for all i, j (including the diagonal zero); None if not extendable.
+
+    The system is block-diagonal in i, with the same block for every i:
+    the rows of iota_{s_j} on unit p-forms, stacked over j.
+    """
     n, p = pair.n, pair.p
     ctx = pair.ctx
-    S = pair.S
-    k = len(S)
-    if k == 0:
-        return []
-    np_ = comb(n, p)
-    idxs_p = _tuples(n, p)
-    rows, rhs = [], []
+    k = len(pair.S)
+    units = [Form.basis(ctx, idx) for idx in _tuples(n, p)]
+    rows = []
+    for s in pair.S:
+        X = const_vfield(ctx, s)
+        cols = [coords(contract(X, u)) for u in units]
+        rows.extend(list(row) for row in zip(*cols))
+    betas = []
     for i in range(k):
-        for j in range(k):
-            target = coords(pair.omega_at(i, j))
-            # iota_{s_j} acting on unit p-forms, restricted to block i
-            cols = [coords(contract(const_vfield(ctx, S[j]),
-                                    Form.basis(ctx, idx)))
-                    for idx in idxs_p]
-            for t in range(len(target)):
-                row = [Fraction(0)] * (k * np_)
-                for c in range(np_):
-                    row[i * np_ + c] = cols[c][t]
-                rows.append(row)
-                rhs.append(target[t])
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    return [const(Form, ctx, p, sol[i * np_:(i + 1) * np_])
-            for i in range(k)]
+        rhs = [c for j in range(k) for c in coords(pair.omega_at(i, j))]
+        sol = solve(rows, rhs)
+        if sol is None:
+            return None
+        betas.append(const(Form, ctx, p, sol))
+    return betas
 
 
 def extend_to_form(n: int, p: int, S, betas, C=None) -> Form:
@@ -401,22 +378,30 @@ def extend_to_form(n: int, p: int, S, betas, C=None) -> Form:
     return omega
 
 
+def _normal_tier(n: int, p: int, S, omega: Form, r: int) -> LinSubspace:
+    """D_r = {Y + iota_Y omega + xi : Y in S /\\ (/\\^{r-1} T),
+    xi in /\\^{p+1-r} S°} for a canonical basis S."""
+    ctx = Context(n)
+    elems = []
+    for s in S:
+        sv = const_vfield(ctx, s)
+        for K in _tuples(n, r - 1):
+            Y = wedge(sv, MultiVec.basis(ctx, K)) if K else sv
+            elems.append((Y, contract(Y, omega)))
+    for xi in wedges(Form, ctx, annihilator(n, S), p + 1 - r):
+        elems.append((MultiVec.zero(ctx, r), xi))
+    return LinSubspace.from_elements(n, p, elems, r)
+
+
 def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}."""
-    ctx = Context(n)
     if not omega.is_zero() and omega.degree != p + 1:
         raise ValueError("omega must be a (p+1)-form")
     S = span_basis([[Fraction(x) for x in row] for row in S])
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
-    elems = []
-    for s in S:
-        X = const_vfield(ctx, s)
-        elems.append((X, contract(X, omega)))
-    for xi in wedges(Form, ctx, annihilator(n, S), p):
-        elems.append((MultiVec.zero(ctx, 1), xi))
-    return LinSubspace.from_elements(n, p, elems, 1)
+    return _normal_tier(n, p, S, omega, 1)
 
 
 def from_pair(pair: LagrangianPair) -> LinSubspace:
@@ -437,45 +422,24 @@ def from_pair(pair: LagrangianPair) -> LinSubspace:
 
 
 def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
-    """Tier-r subspace D_r of the multi-Dirac family determined by L.
-
-    Computed twice — from the normal presentation,
+    """Tier-r subspace D_r of the multi-Dirac family determined by L,
+    from the normal presentation
     D_r = {Y + iota_Y omega + xi : Y in S /\\ (/\\^{r-1} T),
-           xi in /\\^{p+1-r} S°},
-    and as the brute-force perp (L)^{perp,r} — and the two must agree.
+           xi in /\\^{p+1-r} S°}.
+
+    It equals the brute-force perp (L)^{perp,r}; acceptance criterion 6,
+    `tests/test_lagrangian.py::test_tier_duality`, the
+    `multidirac-tiers` CLI report and the benchmark compare the two.
     """
     if L.r != 1:
         raise ValueError("multidirac_tier starts from a tier-1 subspace")
     n, p = L.n, L.p
     if not 1 <= r <= p:
         raise ValueError(f"tier {r} out of range 1..{p}")
-    ctx = L.ctx
     pair = to_pair(L)  # also validates Lagrangian
     betas = _omega_extension_to_p_forms(pair)
     omega = extend_to_form(n, p, pair.S, betas)
-    S = pair.S
-    elems = []
-    seen = set()
-    for s in S:
-        sv = const_vfield(ctx, s)
-        for K in _tuples(n, r - 1):
-            Y = wedge(sv, MultiVec.basis(ctx, K)) if r > 1 else sv
-            if Y.is_zero():
-                continue
-            key = tuple(coords(Y))
-            if key in seen:
-                continue
-            seen.add(key)
-            elems.append((Y, contract(Y, omega)))
-    for xi in wedges(Form, ctx, annihilator(n, S), p + 1 - r):
-        elems.append((MultiVec.zero(ctx, r), xi))
-    from_normal = LinSubspace.from_elements(n, p, elems, r)
-    brute = perp_tier(L, r)
-    if from_normal != brute:
-        raise AssertionError(
-            "tier presentation disagrees with brute-force perp "
-            f"(r={r}): convention bug")
-    return from_normal
+    return _normal_tier(n, p, pair.S, omega, r)
 
 
 def nambu_dirac_check(L: LinSubspace) -> dict:

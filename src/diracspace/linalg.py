@@ -94,14 +94,3 @@ def span_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 def span_equal(a: list[list[Fraction]], b: list[list[Fraction]]) -> bool:
     return span_basis(a) == span_basis(b)
 
-
-def span_contains(rows: list[list[Fraction]], v: list[Fraction]) -> bool:
-    red, _ = rref(rows)
-    w = list(v)
-    for row in red:
-        pc = next(i for i, x in enumerate(row) if x != 0)
-        if w[pc] != 0:
-            f = w[pc]
-            w = [a - f * b for a, b in zip(w, row)]
-    return all(x == 0 for x in w)
-

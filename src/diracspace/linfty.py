@@ -386,14 +386,6 @@ def gauge_map(B: Form):
 # -- the prequantum Lie-2 morphism -------------------------------------
 
 
-def sigma_bracket(e1: SectionEp, e2: SectionEp, sigma: Form) -> SectionEp:
-    """[X+f, Y+g]_sigma = [X,Y] + (X(g) - Y(f) + sigma(X,Y)) on TM + R."""
-    tw = contract(e2.X, contract(e1.X, sigma)).to_poly()
-    f, g = e1.alpha.to_poly(), e2.alpha.to_poly()
-    return SectionEp(0, lie_bracket(e1.X, e2.X),
-                     Form.from_poly(e1.X(g) - e2.X(f) + tw))
-
-
 def prequantum_phi0(e: SectionEp) -> SectionEp:
     """(X, f) |-> (X, df), a section of TM + T*M."""
     return SectionEp(1, e.X, deRham(e.alpha))
@@ -410,6 +402,8 @@ def check_prequantum_morphism(sigma: Form, pairs, triples) -> dict:
     """Check the four Lie-2 morphism equations for phi = (phi0, 0, phi2)
     from (TM + R, [.,.]_sigma) to the untwisted family on TM + T*M.
 
+    The source bracket [X+f, Y+g]_sigma = [X,Y] + X(g) - Y(f) + sigma(X,Y)
+    is `courant(x, y, sigma)` on order-0 sections, whose pairing vanishes.
     The source is concentrated in degree 0, so the chain-map equation and
     the equation pairing phi1 against unary brackets hold vacuously.  On
     non-closed sigma the Jacobiator equation fails; its residual is
@@ -425,7 +419,7 @@ def check_prequantum_morphism(sigma: Form, pairs, triples) -> dict:
     wit = []
     for x, y in pairs:
         lhs = fam.l([fam.form(-1, prequantum_phi2(x, y, sigma))])
-        br = sigma_bracket(x, y, sigma)
+        br = courant(x, y, sigma)
         rhs = (GradedElem(0, prequantum_phi0(br))
                - fam.l([GradedElem(0, prequantum_phi0(x)),
                         GradedElem(0, prequantum_phi0(y))]))
@@ -440,7 +434,7 @@ def check_prequantum_morphism(sigma: Form, pairs, triples) -> dict:
         rhs = GradedElem.zero()
         for s, (a, b, c) in ((1, (x, y, z)), (-1, (y, x, z)), (1, (z, x, y))):
             rhs = rhs + s * fam.form(
-                -1, prequantum_phi2(a, sigma_bracket(b, c, sigma), sigma))
+                -1, prequantum_phi2(a, courant(b, c, sigma), sigma))
             rhs = rhs + s * fam.l([
                 GradedElem(0, prequantum_phi0(a)),
                 fam.form(-1, prequantum_phi2(b, c, sigma))])
@@ -481,7 +475,7 @@ def check_prequantization(P, pairs) -> list[str]:
             ham_bracket(HamiltonianDatum(P, f, ef.X),
                         HamiltonianDatum(P, g, eg.X)).to_poly())
         lhs = prequantization(P, br)
-        rhs = sigma_bracket(ef, eg, omega)
+        rhs = courant(ef, eg, omega)
         if lhs != rhs:
             witnesses.append(f"P({{f,g}}) = {lhs} != [P f, P g] = {rhs}")
         comp = prequantum_phi0(ef)

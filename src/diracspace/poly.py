@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class Context:

@@ -187,6 +187,34 @@ def test_multidirac_tiers(capsys):
     assert code == 0
 
 
+def test_multidirac_tiers_catches_a_wrong_tier(capsys, monkeypatch):
+    # the report compares every tier with the brute-force perp, so tiers
+    # r >= 2 with their form part negated must fail tier-perp-duality
+    from math import comb
+
+    import diracspace.cli as cli
+    from diracspace.lagrangian import LinSubspace, multidirac_tier
+
+    def negated_tier(L, r):
+        D = multidirac_tier(L, r)
+        if r < 2:
+            return D
+        nm = comb(D.n, r)
+        return LinSubspace(D.n, D.p, [row[:nm] + [-x for x in row[nm:]]
+                                      for row in D.basis], r)
+
+    monkeypatch.setattr(cli, "multidirac_tier", negated_tier)
+    code = main(["multidirac-tiers", "--dim", "4", "--p", "3", "--trials",
+                 "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    reports = {r["check"]: r for r in map(json.loads,
+                                          captured.out.splitlines())}
+    assert code == 1 and captured.err == ""
+    assert reports["tier-1-is-L"]["status"] == "pass"
+    assert reports["tier-perp-duality"]["status"] == "fail"
+    assert reports["tier-perp-duality"]["failures"] > 0
+
+
 def test_oracle_compare(capsys):
     code, reports = run_cli(capsys, "oracle-compare", "--r", "2", "--dim",
                             "3", "--arity-max", "3", "--trials", "3",

@@ -6,11 +6,13 @@ import pytest
 
 from diracspace.poly import Context
 from diracspace.calculus import Form, contract
-from diracspace.lagrangian import (LinSubspace, classify, const,
-                                   const_vfield, extend_to_form, form_eval,
+from diracspace.lagrangian import (LinSubspace, _omega_extension_to_p_forms,
+                                   _tuples, classify, const, const_vfield,
+                                   coords, extend_to_form, form_eval,
                                    from_pair, multidirac_tier,
                                    nambu_dirac_check, norom_subspace, perp,
                                    perp_tier, random_lagrangian, to_pair)
+from diracspace.linalg import kernel_basis, solve, span_basis
 
 rng = random.Random(505)
 
@@ -95,6 +97,105 @@ def test_tier_duality():
             for s in range(1, p + 1):
                 if r + s <= p + 1:
                     assert perp_tier(tiers[s - 1], r) == tiers[r - 1]
+
+
+def _combine(cs, basis, amb):
+    v = [Fraction(0)] * amb
+    for c, row in zip(cs, basis):
+        v = [a + c * b for a, b in zip(v, row)]
+    return v
+
+
+def _reference_parts(L):
+    """Row-reduction reference for the echelon split: the rref of the
+    tangent projection, the kernel-based form intersection, and the
+    member of L over each tangent basis vector found with `solve`."""
+    nm = comb(L.n, L.r)
+    amb = L.ambient_dim()
+    tangent = span_basis([row[:nm] for row in L.basis])
+    block = [[row[c] for row in L.basis] for c in range(nm)]
+    forms = []
+    if L.basis:
+        forms = span_basis([_combine(cs, L.basis, amb)[nm:]
+                            for cs in kernel_basis(block, len(L.basis))])
+    over = []
+    for s in tangent:
+        cs = solve(block, s)
+        assert cs is not None
+        over.append(_combine(cs, L.basis, amb))
+    return tangent, forms, over
+
+
+def _reference_betas(pair):
+    """The beta_i of `from_pair` as one k*C(n,p)-column system."""
+    n, p, S = pair.n, pair.p, pair.S
+    ctx, k = Context(n), len(pair.S)
+    if k == 0:
+        return []
+    np_ = comb(n, p)
+    rows, rhs = [], []
+    for i in range(k):
+        for j in range(k):
+            target = coords(pair.omega_at(i, j))
+            cols = [coords(contract(const_vfield(ctx, S[j]),
+                                    Form.basis(ctx, idx)))
+                    for idx in _tuples(n, p)]
+            for t in range(len(target)):
+                row = [Fraction(0)] * (k * np_)
+                for c in range(np_):
+                    row[i * np_ + c] = cols[c][t]
+                rows.append(row)
+                rhs.append(target[t])
+    sol = solve(rows, rhs)
+    if sol is None:
+        return None
+    return [const(Form, ctx, p, sol[i * np_:(i + 1) * np_])
+            for i in range(k)]
+
+
+def _random_rows(local, amb):
+    shape = local.choice(["empty", "sparse", "dense"])
+    if shape == "empty":
+        return []
+    rows = []
+    for _ in range(local.randint(1, amb + 1)):
+        row = [0] * amb
+        for c in (local.sample(range(amb), local.randint(1, 2))
+                  if shape == "sparse" else range(amb)):
+            row[c] = Fraction(local.randint(-2, 2), local.choice([1, 1, 3]))
+        rows.append(row)
+    return rows
+
+
+def test_echelon_split_matches_row_reduction_reference():
+    local = random.Random(5050)
+    subspaces = []
+    for _ in range(400):
+        n = local.randint(1, 4)
+        p = local.randint(1, n)
+        r = local.randint(1, p)
+        amb = comb(n, r) + comb(n, p + 1 - r)
+        subspaces.append(LinSubspace(n, p, _random_rows(local, amb), r))
+    for _ in range(12):
+        n = local.choice([2, 3, 4])
+        p = local.randint(1, min(n, 3))
+        L = random_lagrangian(local, n, p)
+        subspaces += [multidirac_tier(L, r) for r in range(1, p + 1)]
+    seen = set()
+    for L in subspaces:
+        seen.add((L.r, L.dim() == 0, L.dim() == L.ambient_dim()))
+        tangent, forms, over = _reference_parts(L)
+        assert L.tangent_part() == tangent
+        assert L.form_intersection() == forms
+        assert L.basis[:len(tangent)] == over
+        if L.r == 1 and perp(L) == L:
+            pair = to_pair(L)
+            assert pair.S == tangent
+            assert _omega_extension_to_p_forms(pair) == \
+                _reference_betas(pair)
+    assert {r for r, _, _ in seen} == {1, 2, 3, 4}
+    assert any(empty for _, empty, _ in seen)
+    assert any(full for _, _, full in seen)
 
 
 def test_extend_to_form_restriction():

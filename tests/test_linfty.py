@@ -118,6 +118,28 @@ def test_prequantum_morphism_nonclosed_residual_is_dsigma():
     assert all(r["equals_dsigma(X,Y,Z)"] for r in residuals)
 
 
+def test_order0_courant_is_the_sigma_bracket():
+    # reference: [X+f, Y+g]_sigma = [X,Y] + X(g) - Y(f) + sigma(X,Y)
+    from diracspace.calculus import contract, lie_bracket
+    from diracspace.courant import courant
+    local = random.Random(708)
+
+    def e0():
+        return SectionEp(0, random_vfield(local, ctx3, max_deg=1),
+                         Form.from_poly(random_poly(local, ctx3, max_deg=2)))
+
+    for sigma in (random_closed_form(local, ctx3, 2),
+                  Form(ctx3, 2, {(1, 2): Poly.variable(ctx3, 3)}),
+                  random_form(local, ctx3, 2, max_deg=1)):
+        for _ in range(6):
+            e1, e2 = e0(), e0()
+            f, g = e1.alpha.to_poly(), e2.alpha.to_poly()
+            tw = contract(e2.X, contract(e1.X, sigma)).to_poly()
+            ref = SectionEp(0, lie_bracket(e1.X, e2.X),
+                            Form.from_poly(e1.X(g) - e2.X(f) + tw))
+            assert courant(e1, e2, sigma) == ref
+
+
 def test_prequantization_identity():
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
     pairs = [(Form.from_poly(random_poly(rng, ctx2, max_deg=3)),
