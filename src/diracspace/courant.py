@@ -112,9 +112,9 @@ def dorfman(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
 
 def courant(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
     """Antisymmetric part: dorfman minus half the differential of the pairing."""
-    d_pair = deRham(pairing(e1, e2))
-    correction = SectionEp(e1.p, VField.zero(e1.ctx), d_pair * Fraction(1, 2))
-    return dorfman(e1, e2, H) - correction
+    br = dorfman(e1, e2, H)
+    return SectionEp(e1.p, br.X,
+                     br.alpha - deRham(pairing(e1, e2)) * Fraction(1, 2))
 
 
 def gauge(e: SectionEp, B: Form, sign: int = 1) -> SectionEp:

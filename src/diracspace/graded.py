@@ -295,23 +295,24 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
 # -- encoding the complex ----------------------------------------------
 
 
+def _encode(r: int, ctx: Context, parts) -> GPoly:
+    """The GPoly sum of word * poly over (word, Poly) pairs with distinct
+    words already in normal form, read from the Polys' int numerators."""
+    den = lcm(*(poly._den for _, poly in parts))
+    return GPoly._raw(r, ctx, {
+        (e, word): n * (den // poly._den)
+        for word, poly in parts for e, n in poly._num.items()}, den)
+
+
 def encode_form(r: int, alpha: Form) -> GPoly:
-    ctx = alpha.ctx
-    terms = {}
-    for idx, poly in alpha.comps.items():
-        word = tuple(("v", i - 1) for i in idx)
-        for e, c in poly.terms.items():
-            terms[(e, word)] = c
-    return GPoly(r, ctx, terms)
+    # a word of v's in increasing index order is in normal form
+    return _encode(r, alpha.ctx, [(tuple(("v", i - 1) for i in idx), poly)
+                                  for idx, poly in alpha.comps.items()])
 
 
 def encode_vfield(r: int, X: VField) -> GPoly:
-    ctx = X.ctx
-    terms = {}
-    for i in ctx.axes():
-        for e, c in X.component(i).terms.items():
-            terms[(e, (("p", i - 1),))] = c
-    return GPoly(r, ctx, terms)
+    return _encode(r, X.ctx, [((("p", i - 1),), X.component(i))
+                              for i in X.ctx.axes()])
 
 
 def encode_section(r: int, e: SectionEp) -> GPoly:

@@ -166,17 +166,10 @@ def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
         raise ValueError("tier overflow: r + s > p + 1")
     units = _unit_elements(n, p, r)
     mem = [SectionPr(p, s, Y, eta) for Y, eta in L.members()]
-    rows = []
-    cols = []
-    for Y, eta in units:
-        a = SectionPr(p, r, Y, eta)
-        cols.append([c for b in mem for c in coords(multi_pairing(a, b))])
-    if cols and cols[0]:
-        rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-        ker = kernel_basis(rows, len(units))
-    else:
-        ker = kernel_basis([[Fraction(0)] * len(units)], len(units))
-    return LinSubspace(n, p, ker, r)
+    cols = [[c for b in mem for c in coords(multi_pairing(
+        SectionPr(p, r, Y, eta), b))] for Y, eta in units]
+    return LinSubspace(n, p, kernel_basis(
+        [list(row) for row in zip(*cols)], len(units)), r)
 
 
 def perp(L: LinSubspace) -> LinSubspace:
@@ -189,9 +182,6 @@ def perp(L: LinSubspace) -> LinSubspace:
 
 def annihilator(n: int, rows) -> list[list[Fraction]]:
     """Covectors vanishing on the span of the given vectors."""
-    if not rows:
-        return [[Fraction(1 if j == i else 0) for j in range(n)]
-                for i in range(n)]
     return kernel_basis([list(r) for r in rows], n)
 
 
@@ -274,24 +264,35 @@ class LagrangianPair:
         return f"LagrangianPair(n={self.n}, p={self.p}, dim S={len(self.S)})"
 
 
+def _tangent_rows(L: LinSubspace):
+    """S and the alpha_i with s_i + alpha_i in L: the echelon rows of L
+    that pivot in T.  Refuses an L that is not Lagrangian."""
+    if perp(L) != L:
+        raise ValueError("input subspace is not Lagrangian")
+    S = L.tangent_part()
+    return S, [const(Form, L.ctx, L.p, row[L.n:]) for row in L.basis[:len(S)]]
+
+
 def to_pair(L: LinSubspace) -> LagrangianPair:
     """Extract (S, Omega): S is the tangent projection, and
     Omega(s_i, s_j) = iota_{s_j} alpha_i for any s_i + alpha_i in L."""
-    if perp(L) != L:
-        raise ValueError("input subspace is not Lagrangian")
-    n, p = L.n, L.p
-    ctx = L.ctx
-    S = L.tangent_part()
-    k = len(S)
-    # the echelon rows pivoting in T are the members s_i + alpha_i of L
-    alphas = [const(Form, ctx, p, row[n:]) for row in L.basis[:k]]
-    Omega = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            f = contract(const_vfield(ctx, S[j]), alphas[i])
-            if not f.is_zero():
-                Omega[(i, j)] = f
-    return LagrangianPair(n, p, S, Omega)
+    S, alphas = _tangent_rows(L)
+    return LagrangianPair(L.n, L.p, S, {
+        (i, j): contract(const_vfield(L.ctx, S[j]), alphas[i])
+        for i, j in itertools.combinations(range(len(S)), 2)})
+
+
+def _contraction_rows(n: int, q: int, S) -> list[list[Fraction]]:
+    """Matrix of a -> (iota_s a for s in S) on constant q-forms: one
+    column per unit q-form, one row per s and (q-1)-tuple."""
+    ctx = Context(n)
+    units = [Form.basis(ctx, idx) for idx in _tuples(n, q)]
+    rows = []
+    for s in S:
+        X = const_vfield(ctx, s)
+        cols = [coords(contract(X, u)) for u in units]
+        rows.extend([col[t] for col in cols] for t in range(comb(n, q - 1)))
+    return rows
 
 
 def _omega_extension_to_p_forms(pair: LagrangianPair):
@@ -302,92 +303,69 @@ def _omega_extension_to_p_forms(pair: LagrangianPair):
     the rows of iota_{s_j} on unit p-forms, stacked over j.
     """
     n, p = pair.n, pair.p
-    ctx = pair.ctx
     k = len(pair.S)
-    units = [Form.basis(ctx, idx) for idx in _tuples(n, p)]
-    rows = []
-    for s in pair.S:
-        X = const_vfield(ctx, s)
-        cols = [coords(contract(X, u)) for u in units]
-        rows.extend(list(row) for row in zip(*cols))
+    rows = _contraction_rows(n, p, pair.S)
     betas = []
     for i in range(k):
         rhs = [c for j in range(k) for c in coords(pair.omega_at(i, j))]
         sol = solve(rows, rhs)
         if sol is None:
             return None
-        betas.append(const(Form, ctx, p, sol))
+        betas.append(const(Form, pair.ctx, p, sol))
     return betas
 
 
-def extend_to_form(n: int, p: int, S, betas, C=None) -> Form:
+def extend_to_form(n: int, p: int, S, betas) -> Form:
     """Extend beta in S* (x) /\\^p T* to an alternating (p+1)-form.
 
     `betas[i]` is the p-form beta(s_i) for the i-th vector of the echelon
-    basis of S.  The result omega satisfies iota_s omega = beta(s) for
-    all s in S.  Construction: skew-symmetrize the tensor X*_i (x) beta_i
-    in a basis adapted to S and a complement C (default: the orthogonal
-    complement), then reweight the S-weight-q component by (p+1)/q.
+    basis of S.  The result is the unique omega with iota_{s_i} omega =
+    beta_i for all i that vanishes on every (p+1)-tuple from the
+    complement C = annihilator(n, S) of S, found by one exact solve.  (It
+    is the skew-symmetrization of the tensor sum of X*_i (x) beta_i in a
+    frame adapted to S + C, with its S-weight-q part reweighted by
+    (p+1)/q.)  Raises ValueError when the beta_i are not the contractions
+    of one (p+1)-form.
     """
     ctx = Context(n)
     S = span_basis([[Fraction(x) for x in row] for row in S])
-    k = len(S)
-    if k != len(betas):
+    if len(S) != len(betas):
         raise ValueError("one beta per S basis vector required")
     for b in betas:
         if not b.is_zero() and b.degree != p:
             raise ValueError("beta values must be p-forms")
-    if C is None:
-        C = annihilator(n, S)  # orthogonal complement: kernel of S rows
-    frame = S + [list(map(Fraction, row)) for row in C]
-    if len(frame) != n or span_basis(frame) != span_basis(
-            [[Fraction(1 if j == i else 0) for j in range(n)]
-             for i in range(n)]):
-        raise ValueError("S and C do not frame the ambient space")
-    # dual frame: dual[i] . frame[t] = delta_{it}
-    dual = [solve(frame, [Fraction(1 if t == i else 0) for t in range(n)])
-            for i in range(n)]
-    # components of each beta_i in the adapted frame
-    beta_frame = {}
-    for i in range(k):
-        for K in itertools.combinations(range(n), p):
-            beta_frame[(i, K)] = form_eval(betas[i], [frame[t] for t in K])
-    # skew-symmetrization, reweighted by S-weight
-    omega = Form.zero(ctx, p + 1)
-    for J in itertools.combinations(range(n), p + 1):
-        acc = Fraction(0)
-        for m, jm in enumerate(J):
-            if jm >= k:
-                continue
-            rest = J[:m] + J[m + 1:]
-            acc += (-1) ** m * beta_frame[(jm, rest)]
-        q = sum(1 for j in J if j < k)
-        if acc == 0:
-            continue
-        if q == 0:
-            raise ValueError("beta does not vanish off S")
-        coeff = acc * Fraction(1, p + 1) * Fraction(p + 1, q)
-        w = Form(ctx, 0, {(): Poly.constant(ctx, coeff)})
-        for j in J:
-            w = wedge(w, const(Form, ctx, 1, dual[j]))
-        omega = omega + w
-    # sanity: the restriction really is beta
-    for i in range(k):
-        if contract(const_vfield(ctx, S[i]), omega) != betas[i]:
-            raise ValueError("extension failed to restrict to beta")
-    return omega
+    rows = _contraction_rows(n, p + 1, S)
+    rhs = [c for b in betas
+           for c in coords(b if b.degree == p else Form.zero(ctx, p))]
+    units = [Form.basis(ctx, idx) for idx in _tuples(n, p + 1)]
+    for vecs in itertools.combinations(annihilator(n, S), p + 1):
+        rows.append([form_eval(u, vecs) for u in units])
+        rhs.append(Fraction(0))
+    sol = solve(rows, rhs) if rows else []
+    if sol is None:
+        raise ValueError("extension failed to restrict to beta")
+    return const(Form, ctx, p + 1, sol)
 
 
-def _normal_tier(n: int, p: int, S, omega: Form, r: int) -> LinSubspace:
-    """D_r = {Y + iota_Y omega + xi : Y in S /\\ (/\\^{r-1} T),
-    xi in /\\^{p+1-r} S°} for a canonical basis S."""
+def _normal_tier(n: int, p: int, S, alphas, r: int) -> LinSubspace:
+    """D_r = span{(s_i ^ K, iota_K alpha_i)} + /\\^{p+1-r} S°, with K over
+    the unit (r-1)-vectors (at r = 1 the element is (s_i, alpha_i)), for
+    a canonical basis S of the tangent part of a Lagrangian L and any
+    p-forms alpha_i with s_i + alpha_i in L.
+
+    Any such alpha_i will do: for omega presenting L, alpha_i =
+    iota_{s_i} omega + xi_i with xi_i in /\\^p S°.  Contraction takes the
+    first wedge factor first, so iota_{s_i ^ K} omega = iota_K iota_{s_i}
+    omega differs from iota_K alpha_i by iota_K xi_i, which lies in
+    /\\^{p+1-r} S° and so already in D_r.
+    """
     ctx = Context(n)
     elems = []
-    for s in S:
+    for s, alpha in zip(S, alphas):
         sv = const_vfield(ctx, s)
         for K in _tuples(n, r - 1):
-            Y = wedge(sv, MultiVec.basis(ctx, K)) if K else sv
-            elems.append((Y, contract(Y, omega)))
+            eK = MultiVec.basis(ctx, K)
+            elems.append((wedge(sv, eK), contract(eK, alpha)))
     for xi in wedges(Form, ctx, annihilator(n, S), p + 1 - r):
         elems.append((MultiVec.zero(ctx, r), xi))
     return LinSubspace.from_elements(n, p, elems, r)
@@ -401,12 +379,16 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
-    return _normal_tier(n, p, S, omega, 1)
+    ctx = Context(n)
+    alphas = [contract(const_vfield(ctx, s), omega) for s in S]
+    return _normal_tier(n, p, S, alphas, 1)
 
 
 def from_pair(pair: LagrangianPair) -> LinSubspace:
-    """Inverse of to_pair: extend Omega to a full (p+1)-form and present
-    the Lagrangian as {X + iota_X omega + alpha}."""
+    """Inverse of to_pair: L = span{s_i + beta_i} + /\\^p S°, with the
+    beta_i of `_omega_extension_to_p_forms`.  Since iota_{s_j} beta_i =
+    Omega(s_i, s_j), each s_i + beta_i lies in L, and a (p+1)-form with
+    these contractions exists as soon as the beta_i do."""
     n, p = pair.n, pair.p
     k = len(pair.S)
     if not (k <= n - p or k == n):
@@ -414,18 +396,17 @@ def from_pair(pair: LagrangianPair) -> LinSubspace:
     betas = _omega_extension_to_p_forms(pair)
     if betas is None:
         raise ValueError("Omega is not the restriction of a full form")
-    omega = extend_to_form(n, p, pair.S, betas)
-    return norom_subspace(n, p, pair.S, omega)
+    return _normal_tier(n, p, pair.S, betas, 1)
 
 
 # -- multi-Dirac tiers and the Nambu-type conditions -------------------
 
 
 def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
-    """Tier-r subspace D_r of the multi-Dirac family determined by L,
-    from the normal presentation
-    D_r = {Y + iota_Y omega + xi : Y in S /\\ (/\\^{r-1} T),
-           xi in /\\^{p+1-r} S°}.
+    """Tier-r subspace D_r of the multi-Dirac family determined by the
+    Lagrangian L, read off L's echelon rows s_i + alpha_i that pivot in T:
+    D_r = span{(s_i ^ K, iota_K alpha_i)} + /\\^{p+1-r} S° (see
+    `_normal_tier`), with no (p+1)-form omega built.
 
     It equals the brute-force perp (L)^{perp,r}; acceptance criterion 6,
     `tests/test_lagrangian.py::test_tier_duality`, the
@@ -433,13 +414,10 @@ def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
     """
     if L.r != 1:
         raise ValueError("multidirac_tier starts from a tier-1 subspace")
-    n, p = L.n, L.p
-    if not 1 <= r <= p:
-        raise ValueError(f"tier {r} out of range 1..{p}")
-    pair = to_pair(L)  # also validates Lagrangian
-    betas = _omega_extension_to_p_forms(pair)
-    omega = extend_to_form(n, p, pair.S, betas)
-    return _normal_tier(n, p, pair.S, omega, r)
+    if not 1 <= r <= L.p:
+        raise ValueError(f"tier {r} out of range 1..{L.p}")
+    S, alphas = _tangent_rows(L)
+    return _normal_tier(L.n, L.p, S, alphas, r)
 
 
 def nambu_dirac_check(L: LinSubspace) -> dict:

@@ -30,7 +30,7 @@ from .calculus import (
     lie_bracket,
     lie_derivative,
 )
-from .courant import SectionEp, courant, pairing
+from .courant import SectionEp, courant
 from .poly import Context, bernoulli
 from .presentations import (
     HamiltonianDatum,
@@ -236,8 +236,11 @@ class TwistedSectionsFamily(MultibracketFamily):
                            + i_{[X1,X2]} (+ i_{X1} i_{X2} d)) xi
 
     where the i_{X1} i_{X2} d term is present when xi is the form part
-    of a section (degree r-1) and absent on the lower forms.  Even
-    arities >= 4 vanish (odd Bernoulli numbers are zero).
+    of a section (degree r-1) and absent on the lower forms; on sections
+    the n-ary bracket adds a multiple of i_{X_n} ... i_{X_1} H.  At
+    n = 3 on three sections this is -1/6 sum_cyc <[[e_i, e_j]]_H, e_k>,
+    which `tests/test_linfty.py` keeps as the reference.  Even arities
+    >= 4 vanish (odd Bernoulli numbers are zero).
     """
 
     def __init__(self, r: int, ctx: Context, H: Form | None = None,
@@ -305,13 +308,7 @@ class TwistedSectionsFamily(MultibracketFamily):
             sgn = 1 if pos % 2 else -1
             return self._clamp(out_deg,
                                sgn * Fraction(1, 2) * lie_derivative(e.X, xi))
-        if n == 3 and not negs:
-            e = [a.payload for a in args]
-            acc = Form.zero(self.ctx)
-            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                acc = acc + pairing(courant(e[i], e[j], self.H), e[k])
-            return self._clamp(out_deg, Fraction(-1, 6) * acc)
-        # odd n >= 5 on sections, or odd n >= 3 with one lower form
+        # odd n >= 3, on sections or with one lower form
         if negs:
             pos = negs[0]
             xi = args[pos].payload

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -7,12 +8,14 @@ import pytest
 from diracspace.poly import Context
 from diracspace.calculus import Form, contract
 from diracspace.lagrangian import (LinSubspace, _omega_extension_to_p_forms,
-                                   _tuples, classify, const, const_vfield,
-                                   coords, extend_to_form, form_eval,
+                                   _tuples, annihilator, classify, const,
+                                   const_vfield, coords, extend_to_form,
+                                   form_eval,
                                    from_pair, multidirac_tier,
                                    nambu_dirac_check, norom_subspace, perp,
                                    perp_tier, random_lagrangian, to_pair)
 from diracspace.linalg import kernel_basis, solve, span_basis
+from diracspace.sampling import random_constant_form
 
 rng = random.Random(505)
 
@@ -77,7 +80,6 @@ def test_classify_verdicts_agree_on_random_subspaces():
 def test_classify_exhaustive_small_family():
     # all subspaces of T + T* over a 1-dimensional base with entries in
     # {-1, 0, 1}: both characterizations must agree everywhere
-    import itertools
     for rows in itertools.product(
             itertools.product((-1, 0, 1), repeat=2), repeat=2):
         c = classify(LinSubspace(1, 1, [list(r) for r in rows]))
@@ -206,8 +208,6 @@ def test_extend_to_form_restriction():
 
 
 def test_extend_to_form_random_restriction():
-    from diracspace.lagrangian import span_basis
-    from diracspace.sampling import random_constant_form
     for _ in range(25):
         n = rng.choice([3, 4])
         p = rng.choice([1, 2])
@@ -256,3 +256,76 @@ def test_tier_requires_valid_range():
     L = random_lagrangian(rng, 3, 2)
     with pytest.raises(ValueError):
         multidirac_tier(L, 3)
+
+
+def test_extend_to_form_vanishes_on_the_complement():
+    # iota_{s_i} omega = beta_i together with omega = 0 on (p+1)-tuples
+    # from the complement annihilator(n, S) determines omega uniquely
+    local = random.Random(5151)
+    seen = set()
+    for _ in range(60):
+        n = local.randint(1, 4)
+        p = local.randint(1, n)
+        ctx = Context(n)
+        S = span_basis([[Fraction(local.randint(-2, 2)) for _ in range(n)]
+                        for _ in range(local.randint(0, n))])
+        w0 = random_constant_form(local, ctx, p + 1)
+        betas = [contract(const_vfield(ctx, row), w0) for row in S]
+        w = extend_to_form(n, p, S, betas)
+        assert w.is_zero() or w.degree == p + 1
+        for row, beta in zip(S, betas):
+            assert contract(const_vfield(ctx, row), w) == beta
+        complement = annihilator(n, S)
+        for vecs in itertools.combinations(complement, p + 1):
+            assert form_eval(w, list(vecs)) == 0
+        if not S:
+            assert w.is_zero()
+        if len(S) == n:
+            assert w == w0
+        seen.add("empty" if not S else "full" if len(S) == n else
+                 "split" if len(complement) > p else "partial")
+    assert seen == {"empty", "full", "split", "partial"}
+
+
+def test_extend_to_form_refuses_inconsistent_betas():
+    ctx = Context(3)
+    e1, e2 = [1, 0, 0], [0, 1, 0]
+    dx1, dx2 = Form.basis(ctx, (1,)), Form.basis(ctx, (2,))
+    # iota_{s_1} beta_1 must vanish
+    with pytest.raises(ValueError):
+        extend_to_form(3, 1, [e1], [dx1])
+    # iota_{s_2} beta_1 = 1 = iota_{s_1} beta_2 is not skew
+    with pytest.raises(ValueError):
+        extend_to_form(3, 1, [e1, e2], [dx2, dx1])
+    # a nonzero top form cannot be a contraction of a (n+1)-form
+    ctx2 = Context(2)
+    top = Form.basis(ctx2, (1, 2))
+    with pytest.raises(ValueError):
+        extend_to_form(2, 2, [[1, 0], [0, 1]], [top, Form.zero(ctx2, 2)])
+    # beta_2 moved off the contractions of one form
+    local = random.Random(5152)
+    ctx4 = Context(4)
+    S = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    for _ in range(10):
+        w0 = random_constant_form(local, ctx4, 3)
+        betas = [contract(const_vfield(ctx4, row), w0) for row in S]
+        betas[1] = betas[1] + Form.basis(ctx4, (1, 3))
+        with pytest.raises(ValueError):
+            extend_to_form(4, 2, S, betas)
+
+
+def test_non_lagrangian_input_is_refused():
+    not_isotropic = LinSubspace(2, 1, [[1, 0, 1, 0]])
+    not_maximal = LinSubspace(2, 1, [[1, 0, 0, 0]])
+    too_large = LinSubspace(2, 1, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, 1, 0]])
+    for L in (not_isotropic, not_maximal, too_large):
+        assert not classify(L)["lagrangian"]
+        with pytest.raises(ValueError, match="not Lagrangian"):
+            to_pair(L)
+        with pytest.raises(ValueError, match="not Lagrangian"):
+            multidirac_tier(L, 1)
+    L3 = LinSubspace(3, 2, [[1, 0, 0, 1, 0, 0]])
+    for r in (1, 2):
+        with pytest.raises(ValueError, match="not Lagrangian"):
+            multidirac_tier(L3, r)

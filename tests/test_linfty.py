@@ -140,6 +140,38 @@ def test_order0_courant_is_the_sigma_bracket():
             assert courant(e1, e2, sigma) == ref
 
 
+def test_ternary_section_bracket_is_the_cyclic_courant_sum():
+    # reference: l_3(e1, e2, e3) = -1/6 sum_cyc <[[e_i, e_j]]_H, e_k> on
+    # three sections, for closed and non-closed twists H
+    from diracspace.courant import courant, pairing
+    local = random.Random(709)
+    nonclosed = Form(ctx4, 3, {(1, 2, 3): Poly.variable(ctx4, 4)})
+    assert not deRham(nonclosed).is_zero()
+    cases = [(2, ctx3, random_closed_form(local, ctx3, 3)),
+             (2, ctx4, random_closed_form(local, ctx4, 3)),
+             (2, ctx4, nonclosed),
+             (2, ctx4, nonclosed + random_form(local, ctx4, 3, max_deg=1)),
+             (3, ctx4, random_closed_form(local, ctx4, 4))]
+    nonzero = 0
+    for r, ctx, H in cases:
+        F = TwistedSectionsFamily(r, ctx, H, allow_nonclosed=True)
+        for _ in range(5):
+            es = [SectionEp(r - 1, random_vfield(local, ctx, max_deg=1),
+                            random_form(local, ctx, r - 1, max_deg=1))
+                  for _ in range(3)]
+            ref = Form.zero(ctx)
+            for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+                ref = ref + pairing(courant(es[i], es[j], H), es[k])
+            ref = Fraction(-1, 6) * ref
+            got = F.l([F.section(e.X, e.alpha) for e in es])
+            if ref.is_zero():
+                assert got.is_zero()
+            else:
+                nonzero += 1
+                assert got.degree == -1 and got.payload == ref
+    assert nonzero > 0
+
+
 def test_prequantization_identity():
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
     pairs = [(Form.from_poly(random_poly(rng, ctx2, max_deg=3)),

@@ -8,9 +8,9 @@ from diracspace.calculus import (Form, MultiVec, VField, contract, deRham,
                                  lie_bracket, schouten)
 from diracspace.courant import SectionEp, dorfman
 from diracspace.presentations import (GraphForm, GraphMultivector,
-                                      HamiltonianDatum, Regular, ScaledTop,
-                                      ham_bracket, hamiltonian_solve,
-                                      hamiltonian_verify)
+                                      HamiltonianDatum, Presentation,
+                                      Regular, ScaledTop, ham_bracket,
+                                      hamiltonian_solve, hamiltonian_verify)
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_poly, random_vfield)
 
@@ -178,3 +178,26 @@ def test_sums_and_multiples_of_data_stay_hamiltonian():
                 assert hamiltonian_verify(P, s.alpha, s.X)
                 assert s.alpha.degree == P.p - 1
                 assert s.X.ctx == P.ctx and s.P is P
+
+
+def test_involutivity_overrides_match_dorfman_closure():
+    # GraphForm and Regular answer with the closedness criterion on
+    # d omega; the base Presentation.verify_involutive closes the
+    # generators under the Dorfman bracket instead
+    local = random.Random(616)
+    verdicts = {GraphForm: set(), Regular: set()}
+    for n in (3, 4, 5):
+        ctx = Context(n)
+        for p in (1, 2):
+            for omega in (random_closed_form(local, ctx, p + 1),
+                          random_form(local, ctx, p + 1, max_deg=1)):
+                cases = [GraphForm(n, p, omega)]
+                for k in list(range(n - p + 1)) + [n]:
+                    S = local.sample(range(1, n + 1), k)
+                    cases.append(Regular(n, p, S, omega))
+                for P in cases:
+                    fast = P.verify_involutive()["status"]
+                    assert fast == Presentation.verify_involutive(P)["status"]
+                    verdicts[type(P)].add(fast)
+    assert verdicts == {GraphForm: {"pass", "fail"},
+                        Regular: {"pass", "fail"}}
