@@ -318,17 +318,13 @@ def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
 
 @lru_cache(maxsize=4096)
 def _contract_idx(K: tuple, I: tuple) -> tuple:
-    """(sign, rest) of contracting the axes of K in order out of I, each
-    axis at position t costing (-1)^t; (0, ()) when I lacks an axis."""
-    sign, rest = 1, I
-    for i in K:
-        if i not in rest:
-            return 0, ()
-        t = rest.index(i)
-        rest = rest[:t] + rest[t + 1:]
-        if t % 2:
-            sign = -sign
-    return sign, rest
+    """(sign, rest) of contracting the axes of K in order out of I: the
+    sign of the permutation taking K + rest to I; (0, ()) when I lacks
+    an axis of K."""
+    rest = tuple(i for i in I if i not in K)
+    if len(rest) + len(K) != len(I):
+        return 0, ()
+    return _sort_sign(K + rest)[0], rest
 
 
 def contract(Y: MultiVec, a: Form) -> Form:

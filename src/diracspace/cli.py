@@ -28,8 +28,7 @@ from .linfty import (ObservablesFamily, TwistedSectionsFamily,
                      check_prequantum_morphism, check_relation)
 from .parser import parse_expression
 from .poly import Context, Poly
-from .presentations import (GraphForm, GraphMultivector, NotHamiltonian,
-                            Regular, ScaledTop)
+from .presentations import GraphForm, GraphMultivector, Regular, ScaledTop
 from .sampling import (random_observables_elem, random_poly,
                        random_twisted_elem, random_vfield)
 
@@ -156,14 +155,7 @@ def _linfty_family(args, rng):
         else:
             raise ValueError("supply --omega unless dim = p + 1")
         F = ObservablesFamily(GraphForm(args.dim, args.p, omega))
-
-        def rand_elem():
-            try:
-                return random_observables_elem(rng, F)
-            except NotHamiltonian as exc:
-                raise _BadInput(f"--omega {omega} cannot be sampled: "
-                                f"{exc}") from exc
-        return F, args.p, rand_elem
+        return F, args.p, lambda: random_observables_elem(rng, F)
     H = (_parse_flag(args.H, ctx, Form, "--H") if args.H is not None
          else None)
     F = TwistedSectionsFamily(args.r, ctx, H,

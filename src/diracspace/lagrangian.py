@@ -372,14 +372,17 @@ def _normal_tier(n: int, p: int, S, alphas, r: int) -> LinSubspace:
 
 
 def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
-    """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}."""
-    if not omega.is_zero() and omega.degree != p + 1:
+    """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}; a zero
+    omega of any degree is the zero (p+1)-form, giving S + /\\^p S°."""
+    ctx = Context(n)
+    if omega.is_zero():
+        omega = Form.zero(ctx, p + 1)
+    elif omega.degree != p + 1:
         raise ValueError("omega must be a (p+1)-form")
     S = span_basis([[Fraction(x) for x in row] for row in S])
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
-    ctx = Context(n)
     alphas = [contract(const_vfield(ctx, s), omega) for s in S]
     return _normal_tier(n, p, S, alphas, 1)
 
@@ -431,8 +434,9 @@ def nambu_dirac_check(L: LinSubspace) -> dict:
     mem = L.members()
     S = L.tangent_part()
     iso_weak = True
-    for (Y1, a1), (Y2, a2) in itertools.product(mem, repeat=2):
-        pr = contract(Y1, a2) + contract(Y2, a1)
+    # the r = s = 1 pairing is symmetric, so unordered pairs suffice
+    for a, b in itertools.combinations_with_replacement(mem, 2):
+        pr = multi_pairing(SectionPr(p, 1, *a), SectionPr(p, 1, *b))
         for combo in itertools.combinations(S, p - 1):
             if form_eval(pr, list(combo)) != 0:
                 iso_weak = False

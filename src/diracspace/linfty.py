@@ -12,8 +12,9 @@ families are provided: the observables of a presented subbundle
 H-twisted brackets on sections of /\\^{r-1} T* + TM with lower forms
 below.  On top of these sit Lie-2 morphism checks (the degree-0
 prequantum morphism into sections of TM + T*M twisted by a 2-form
-sigma), scaling and gauge strict isomorphisms, and the prequantization
-map f |-> (X_f, -f).
+sigma) and strict morphisms: scaling and gauge isomorphisms, and the
+prequantization map f |-> (X_f, -f) from the observables of the graph
+of a two-form omega into the omega-twisted family on TM + R.
 """
 
 from __future__ import annotations
@@ -380,6 +381,19 @@ def gauge_map(B: Form):
     return phi
 
 
+def prequantization_map(P: Presentation):
+    """phi: f |-> (X_f, -f), from the observables of an order-1
+    presentation (the graph of a two-form omega) to the order-0 sections
+    of the omega-twisted family on TM + R."""
+    if P.p != 1:
+        raise ValueError("prequantization needs a two-form graph (order 1)")
+
+    def phi(a: GradedElem) -> GradedElem:
+        return GradedElem(0, SectionEp(0, a.payload.X, -a.payload.alpha))
+
+    return phi
+
+
 # -- the prequantum Lie-2 morphism -------------------------------------
 
 
@@ -449,33 +463,3 @@ def check_prequantum_morphism(sigma: Form, pairs, triples) -> dict:
         v["status"] == "pass" for k, v in report.items() if k != "status")
         else "fail")
     return report
-
-
-def prequantization(P, alpha: Form) -> SectionEp:
-    """f |-> (X_f, -f) on a presented subbundle of order 1."""
-    if P.p != 1:
-        raise ValueError("prequantization needs a two-form graph (order 1)")
-    X = hamiltonian_solve(P, alpha)
-    if X is None:
-        raise NotHamiltonian("alpha is not Hamiltonian")
-    return SectionEp(0, X, -alpha)
-
-
-def check_prequantization(P, pairs) -> list[str]:
-    """Witness failures of P({f,g}) = [P(f), P(g)]_omega and of the
-    composite with phi0 being f |-> X_f - df."""
-    omega = P.omega
-    witnesses = []
-    for f, g in pairs:
-        ef, eg = prequantization(P, f), prequantization(P, g)
-        br = Form.from_poly(
-            ham_bracket(HamiltonianDatum(P, f, ef.X),
-                        HamiltonianDatum(P, g, eg.X)).to_poly())
-        lhs = prequantization(P, br)
-        rhs = courant(ef, eg, omega)
-        if lhs != rhs:
-            witnesses.append(f"P({{f,g}}) = {lhs} != [P f, P g] = {rhs}")
-        comp = prequantum_phi0(ef)
-        if comp != SectionEp(1, ef.X, -deRham(f)):
-            witnesses.append(f"phi0 P({f}) = {comp} != X_f - df")
-    return witnesses

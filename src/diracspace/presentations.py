@@ -1,12 +1,15 @@
 """Finitely presented candidate Dirac structures of higher order.
 
-Four presentation kinds over a polynomial coordinate patch:
-graphs of a (p+1)-form (X - iota_X omega), graphs of a (p+1)-multivector,
-regular presentations over a coordinate-spanned distribution, and scaled
-graphs of a top form (f X - iota_X Omega).  Each knows its generating
-family of sections, a membership decision procedure, and exact isotropy /
+Presentation kinds over a polynomial coordinate patch: graphs of a
+(p+1)-multivector, regular presentations over a coordinate-spanned
+distribution S with a (p+1)-form omega (the graph of omega,
+X - iota_X omega, is the one with S = TM), and scaled graphs of a top
+form (f X - iota_X Omega).  Each knows its generating family of
+sections, a membership decision procedure, and exact isotropy /
 involutivity verification with witnesses.  On top of these sit
-Hamiltonian forms and their bracket {alpha, beta} = iota_{X_alpha} d beta.
+Hamiltonian forms and their bracket {alpha, beta} = iota_{X_alpha} d beta,
+with one solver for the Hamiltonian vector field on every constant
+regular presentation.
 """
 
 from __future__ import annotations
@@ -69,32 +72,6 @@ class Presentation:
         return _verdict("involutive", witnesses)
 
 
-class GraphForm(Presentation):
-    """graph(omega) = {X - iota_X omega}; involutive iff d omega = 0."""
-
-    def __init__(self, n: int, p: int, omega: Form):
-        super().__init__(n, p)
-        if not omega.is_zero() and omega.degree != p + 1:
-            raise ValueError(f"omega must have degree {p + 1}")
-        self.omega = omega
-
-    def generators(self) -> list[SectionEp]:
-        out = []
-        for i in self.ctx.axes():
-            X = VField.basis(self.ctx, i)
-            out.append(SectionEp(self.p, X, -contract(X, self.omega)))
-        return out
-
-    def member(self, e: SectionEp) -> bool:
-        self._check(e)
-        return e.alpha == -contract(e.X, self.omega)
-
-    def verify_involutive(self) -> dict:
-        dw = deRham(self.omega)
-        witnesses = [] if dw.is_zero() else [f"d omega = {dw}"]
-        return _verdict("involutive", witnesses)
-
-
 class GraphMultivector(Presentation):
     """graph(pi) = {iota_alpha pi + alpha}; isotropy requires the
     multivector degree p+1 to be 2 or n (or pi = 0)."""
@@ -139,17 +116,15 @@ class Regular(Presentation):
         if not omega.is_zero() and omega.degree != p + 1:
             raise ValueError(f"omega must have degree {p + 1}")
         self.omega = omega
-
-    def _conormal_tuples(self):
         rest = [i for i in self.ctx.axes() if i not in self.S]
-        return list(itertools.combinations(rest, self.p))
+        self.conormal = tuple(itertools.combinations(rest, p))
 
     def generators(self) -> list[SectionEp]:
         out = []
         for i in self.S:
             X = VField.basis(self.ctx, i)
             out.append(SectionEp(self.p, X, -contract(X, self.omega)))
-        for idx in self._conormal_tuples():
+        for idx in self.conormal:
             out.append(SectionEp(self.p, VField.zero(self.ctx),
                                  Form.basis(self.ctx, idx)))
         return out
@@ -160,8 +135,7 @@ class Regular(Presentation):
                for i in self.ctx.axes() if i not in self.S):
             return False
         xi = e.alpha + contract(e.X, self.omega)
-        conormal = set(self._conormal_tuples())
-        return all(idx in conormal for idx in xi.comps)
+        return all(idx in self.conormal for idx in xi.comps)
 
     def verify_involutive(self) -> dict:
         dw = deRham(self.omega)
@@ -170,6 +144,20 @@ class Regular(Presentation):
             if sum(1 for i in idx if i in self.S) >= 3:
                 witnesses.append(
                     f"d omega component {c} on {idx} has >= 3 S indices")
+        return _verdict("involutive", witnesses)
+
+
+class GraphForm(Regular):
+    """graph(omega) = {X - iota_X omega}: the regular presentation with
+    S = TM, which has no conormal p-tuples.  Involutive iff d omega = 0;
+    the override reports d omega itself as the witness."""
+
+    def __init__(self, n: int, p: int, omega: Form):
+        super().__init__(n, p, range(1, n + 1), omega)
+
+    def verify_involutive(self) -> dict:
+        dw = deRham(self.omega)
+        witnesses = [] if dw.is_zero() else [f"d omega = {dw}"]
         return _verdict("involutive", witnesses)
 
 
@@ -224,24 +212,16 @@ def hamiltonian_verify(P: Presentation, alpha: Form, X: VField) -> bool:
 def hamiltonian_solve(P: Presentation, alpha: Form):
     """Solve for a Hamiltonian vector field of alpha, or None.
 
-    Requires a GraphForm or Regular presentation with constant
-    coefficients: the defining equation iota_X omega = -d alpha then
-    splits into one rational linear system per monomial, all sharing the
-    constant coefficient matrix of omega.
+    Requires a Regular presentation (a GraphForm is the one with S = TM)
+    with constant coefficients.  X ranges over S, and X + d alpha is a
+    member exactly when iota_X omega + d alpha vanishes off the conormal
+    p-tuples.  That splits into one rational linear system per monomial,
+    all sharing the constant coefficient matrix of omega.
     """
-    if isinstance(P, GraphForm):
-        axes = list(P.ctx.axes())
-        omega = P.omega
-        restrict = None
-    elif isinstance(P, Regular):
-        axes = list(P.S)
-        omega = P.omega
-        conormal = set(P._conormal_tuples())
-        restrict = lambda idx: idx not in conormal
-    else:
+    if not isinstance(P, Regular):
         raise ValueError("solving requires a form-graph or regular "
                          "presentation; use hamiltonian_verify instead")
-    if any(not c.is_constant() for c in omega.comps.values()):
+    if any(not c.is_constant() for c in P.omega.comps.values()):
         raise ValueError("verification-only mode for non-constant "
                          "coefficients; supply the vector field")
     ctx = P.ctx
@@ -249,31 +229,26 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
         raise ValueError(f"alpha must have degree {P.p - 1}")
     rhs_form = -deRham(Form(ctx, P.p - 1, alpha.comps))
     idxs = [idx for idx in itertools.combinations(ctx.axes(), P.p)
-            if restrict is None or restrict(idx)]
+            if idx not in P.conormal]
     # constant matrix of X |-> iota_X omega on the constrained components
     cols = []
-    for j in axes:
-        ij = contract(VField.basis(ctx, j), omega)
+    for j in P.S:
+        ij = contract(VField.basis(ctx, j), P.omega)
         cols.append([ij.comps.get(idx, Poly.zero(ctx)).constant_value()
                      for idx in idxs])
     rows = [[col[t] for col in cols] for t in range(len(idxs))]
     monomials = sorted({e for idx in idxs
                         for e in rhs_form.comps.get(idx, Poly.zero(ctx)).terms})
-    comps = {j: Poly.zero(ctx) for j in axes}
+    comps = {j: Poly.zero(ctx) for j in P.S}
     for e in monomials:
         rhs = [rhs_form.comps.get(idx, Poly.zero(ctx)).terms.get(e, Fraction(0))
                for idx in idxs]
         sol = solve(rows, rhs) if rows else ([] if not any(rhs) else None)
         if sol is None:
             return None
-        for j, c in zip(axes, sol):
+        for j, c in zip(P.S, sol):
             comps[j] = comps[j] + Poly(ctx, {e: c})
-    X = VField(ctx, comps)
-    if restrict is not None:
-        # remaining components land in /\^p S° automatically; recheck
-        if not hamiltonian_verify(P, alpha, X):
-            return None
-    return X
+    return VField(ctx, comps)
 
 
 class HamiltonianDatum:

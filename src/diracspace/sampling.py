@@ -15,6 +15,7 @@ from functools import lru_cache
 from .calculus import (Form, MultiVec, VField, contract, deRham,
                        poincare_primitive)
 from .poly import Context, Poly
+from .presentations import NotHamiltonian
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -123,8 +124,10 @@ def random_observables_elem(rng: random.Random, F, max_deg: int = 1):
     """A random element of an ObservablesFamily ``F``.
 
     A lower form with probability 0.35 when p > 1; otherwise a
-    Hamiltonian (p-1)-form, with a symmetry vector field and a primitive
-    of -iota_X omega when omega is not constant.
+    Hamiltonian (p-1)-form.  With constant omega a random form is tried
+    first; when omega is not constant, or is degenerate and that form has
+    no Hamiltonian vector field, a symmetry vector field X is drawn and
+    alpha is a primitive of -iota_X omega.
     """
     P = F.P
     if P.p > 1 and rng.random() < 0.35:
@@ -132,7 +135,11 @@ def random_observables_elem(rng: random.Random, F, max_deg: int = 1):
         return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
                                       max_deg=max_deg))
     if all(c.is_constant() for c in P.omega.comps.values()):
-        return F.element(random_form(rng, P.ctx, P.p - 1, max_deg=max_deg))
+        try:
+            return F.element(random_form(rng, P.ctx, P.p - 1,
+                                         max_deg=max_deg))
+        except NotHamiltonian:
+            pass
     X = random_symmetry_vfield(rng, P.omega, 1)
     beta = -contract(X, P.omega)
     alpha = (poincare_primitive(beta) if not beta.is_zero()

@@ -23,10 +23,10 @@ from diracspace.lagrangian import (LinSubspace, classify, const_vfield,
                                    perp_tier, random_lagrangian, span_basis,
                                    to_pair)
 from diracspace.linfty import (ObservablesFamily,
-                               TwistedSectionsFamily, check_prequantization,
+                               TwistedSectionsFamily,
                                check_prequantum_morphism, check_relation,
                                check_strict_morphism, gauge_map,
-                               lambda_scale_map)
+                               lambda_scale_map, prequantization_map)
 from diracspace.presentations import (GraphForm, HamiltonianDatum, Regular,
                                       ScaledTop, ham_bracket,
                                       hamiltonian_solve)
@@ -362,11 +362,14 @@ def test_criterion_8_isomorphism_suite():
                for _ in range(rng.randint(1, 3))] for _ in range(25)]
     ok = ok and check_strict_morphism(F1, F2, gauge_map(B), tuples) == []
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
-    pairs = [(Form.from_poly(random_poly(rng, ctx2, max_deg=3)),
-              Form.from_poly(random_poly(rng, ctx2, max_deg=3)))
+    F = ObservablesFamily(P)
+    pairs = [[F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3))),
+              F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3)))]
              for _ in range(50)]
-    ok = ok and check_prequantization(P, pairs) == []
+    ok = ok and check_strict_morphism(
+        F, TwistedSectionsFamily(1, ctx2, P.omega), prequantization_map(P),
+        pairs) == []
     gate(8, ok,
          "scale and gauge maps are strict morphisms on 25 samples each; "
-         "prequantization identity holds on 50 polynomial pairs",
+         "prequantization is a strict morphism on 50 polynomial pairs",
          time.monotonic() - t0, 30)

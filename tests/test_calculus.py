@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from diracspace.poly import Context, Poly
-from diracspace.calculus import (Form, MultiVec, VField, _sort_sign,
-                                 contract, deRham, iota_form, lie_bracket,
+from diracspace.calculus import (Form, MultiVec, VField, _contract_idx,
+                                 _sort_sign, contract, deRham, iota_form, lie_bracket,
                                  lie_derivative, lie_derivative_direct,
                                  poincare_primitive, schouten, wedge)
 from diracspace.sampling import (random_closed_form, random_form,
@@ -161,6 +161,34 @@ def test_sort_sign_matches_brute_force():
                 assert _sort_sign(word, odd) == want, (word, mask)
                 if mask == 2 ** n - 1:
                     assert _sort_sign(word) == want, word
+
+
+def test_contract_idx_matches_iterated_single_axis_contraction():
+    # reference: take the axes of K out of I one at a time, each at
+    # position t costing (-1)^t; K runs over unsorted words, with axes
+    # that I lacks and axes outside the patch
+    for n in range(6):
+        for k in range(n + 1):
+            for I in itertools.combinations(range(1, n + 1), k):
+                for j in range(min(k + 1, 4) + 1):
+                    for K in itertools.permutations(range(1, n + 2), j):
+                        sign, rest = 1, I
+                        for i in K:
+                            if i not in rest:
+                                sign, rest = 0, ()
+                                break
+                            t = rest.index(i)
+                            sign *= (-1) ** t
+                            rest = rest[:t] + rest[t + 1:]
+                        assert _contract_idx(K, I) == (sign, rest), (K, I)
+    # and through the public kernel: iota_{D1^...^Dj} = iota_Dj ... iota_D1
+    ctx = Context(4)
+    for I in itertools.combinations(ctx.axes(), 3):
+        for K in itertools.combinations(ctx.axes(), 2):
+            a = Form.basis(ctx, I)
+            want = contract(VField.basis(ctx, K[1]),
+                            contract(VField.basis(ctx, K[0]), a))
+            assert contract(MultiVec.basis(ctx, K), a) == want, (K, I)
 
 
 def test_vfield_equals_its_degree_one_multivec():

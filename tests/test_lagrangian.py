@@ -6,14 +6,15 @@ from math import comb
 import pytest
 
 from diracspace.poly import Context
-from diracspace.calculus import Form, contract
+from diracspace.calculus import Form, MultiVec, contract
 from diracspace.lagrangian import (LinSubspace, _omega_extension_to_p_forms,
                                    _tuples, annihilator, classify, const,
                                    const_vfield, coords, extend_to_form,
                                    form_eval,
                                    from_pair, multidirac_tier,
                                    nambu_dirac_check, norom_subspace, perp,
-                                   perp_tier, random_lagrangian, to_pair)
+                                   perp_tier, random_lagrangian, to_pair,
+                                   wedges)
 from diracspace.linalg import kernel_basis, solve, span_basis
 from diracspace.sampling import random_constant_form
 
@@ -236,6 +237,20 @@ def test_plane_with_conormal_volume_example():
     nd = nambu_dirac_check(L)
     assert nd["iso_weak"]
     assert not nd["hismax"]
+
+
+def test_norom_reads_a_zero_omega_of_any_degree():
+    # a zero omega is the zero (p+1)-form: L = S + /\\^p S°
+    for n, p, S in [(4, 2, [[1, 0, 0, 0], [0, 1, 0, 0]]), (3, 1, [[1, 1, 0]]),
+                    (3, 3, []), (3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])]:
+        ctx = Context(n)
+        want = norom_subspace(n, p, S, Form.zero(ctx, p + 1))
+        for d in (0, 5):
+            assert norom_subspace(n, p, S, Form.zero(ctx, d)) == want
+        assert want == LinSubspace.from_elements(n, p, [
+            (const(MultiVec, ctx, 1, s), Form.zero(ctx, p)) for s in S] + [
+            (MultiVec.zero(ctx, 1), xi)
+            for xi in wedges(Form, ctx, annihilator(n, S), p)])
 
 
 def test_nambu_check_passes_on_graphs():

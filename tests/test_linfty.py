@@ -7,10 +7,12 @@ from diracspace.poly import Context, Poly
 from diracspace.calculus import Form, VField, deRham
 from diracspace.courant import SectionEp
 from diracspace.linfty import (ObservablesFamily,
-                               TwistedSectionsFamily, check_prequantization,
+                               TwistedSectionsFamily,
                                check_prequantum_morphism, check_relation,
                                check_strict_morphism, gauge_map,
-                               koszul_sign, lambda_scale_map, unshuffles)
+                               koszul_sign, lambda_scale_map,
+                               prequantization_map, prequantum_phi0,
+                               unshuffles)
 from diracspace.presentations import GraphForm
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_observables_elem, random_poly,
@@ -173,11 +175,21 @@ def test_ternary_section_bracket_is_the_cyclic_courant_sum():
 
 
 def test_prequantization_identity():
+    # f |-> (X_f, -f) is a strict morphism Obs(graph omega) -> Tw(1, omega)
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
-    pairs = [(Form.from_poly(random_poly(rng, ctx2, max_deg=3)),
-              Form.from_poly(random_poly(rng, ctx2, max_deg=3)))
+    F = ObservablesFamily(P)
+    pairs = [[F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3))),
+              F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3)))]
              for _ in range(10)]
-    assert check_prequantization(P, pairs) == []
+    phi = prequantization_map(P)
+    assert check_strict_morphism(F, TwistedSectionsFamily(1, ctx2, P.omega),
+                                 phi, pairs) == []
+    # composed with phi0 it is f |-> X_f - df
+    for a in (a for pair in pairs for a in pair):
+        X, f = a.payload.X, a.payload.alpha
+        assert prequantum_phi0(phi(a).payload) == SectionEp(1, X, -deRham(f))
+    with pytest.raises(ValueError):
+        prequantization_map(GraphForm(3, 2, vol3))
 
 
 def test_lambda_scale_strict_morphism():

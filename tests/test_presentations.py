@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,8 +12,8 @@ from diracspace.presentations import (GraphForm, GraphMultivector,
                                       HamiltonianDatum, Presentation,
                                       Regular, ScaledTop, ham_bracket,
                                       hamiltonian_solve, hamiltonian_verify)
-from diracspace.sampling import (random_closed_form, random_form,
-                                 random_poly, random_vfield)
+from diracspace.sampling import (random_closed_form, random_constant_form,
+                                 random_form, random_poly, random_vfield)
 
 rng = random.Random(606)
 
@@ -201,3 +202,71 @@ def test_involutivity_overrides_match_dorfman_closure():
                     verdicts[type(P)].add(fast)
     assert verdicts == {GraphForm: {"pass", "fail"},
                         Regular: {"pass", "fail"}}
+
+
+def test_graph_form_is_regular_over_every_axis():
+    # GraphForm is Regular with S = TM: same generators, same membership,
+    # same Hamiltonian vector fields and the same isotropy verdict
+    local = random.Random(626)
+    members = {True: 0, False: 0}
+    for n in range(2, 6):
+        ctx = Context(n)
+        for p in range(1, min(3, n - 1) + 1):
+            for omega in (random_constant_form(local, ctx, p + 1),
+                          random_closed_form(local, ctx, p + 1),
+                          random_form(local, ctx, p + 1, max_deg=1)):
+                G = GraphForm(n, p, omega)
+                R = Regular(n, p, range(1, n + 1), omega)
+                gens = G.generators()
+                assert gens == R.generators()
+                for _ in range(4):
+                    e = SectionEp(p, VField.zero(ctx), Form.zero(ctx, p))
+                    for g in gens:
+                        e = e + g * random_poly(local, ctx, 1, n_terms=1)
+                    if local.random() < 0.5:
+                        e = e + SectionEp(p, VField.zero(ctx),
+                                          random_form(local, ctx, p, 1))
+                    verdict = G.member(e)
+                    assert verdict == R.member(e)
+                    members[verdict] += 1
+                if all(c.is_constant() for c in omega.comps.values()):
+                    for _ in range(3):
+                        al = random_form(local, ctx, p - 1, max_deg=2)
+                        assert hamiltonian_solve(G, al) == \
+                            hamiltonian_solve(R, al)
+                assert G.verify_isotropic() == R.verify_isotropic()
+    assert members[True] > 0 and members[False] > 0
+
+
+def test_regular_form_is_not_unique():
+    # Regular(S, omega) and Regular(S, omega + beta) present the same
+    # subbundle exactly when every component of beta has at most one
+    # S index; the presented subbundle then has one involutivity verdict
+    local = random.Random(636)
+    verdicts = set()
+    for n in (3, 4, 5):
+        ctx = Context(n)
+        for p in (1, 2):
+            tuples = list(itertools.combinations(ctx.axes(), p + 1))
+            for k in list(range(1, n - p + 1)) + [n]:
+                S = sorted(local.sample(range(1, n + 1), k))
+                omega = random_form(local, ctx, p + 1, max_deg=1)
+                for low in (True, False):
+                    pool = [idx for idx in tuples if not low
+                            or sum(1 for i in idx if i in S) <= 1]
+                    picked = local.sample(pool, min(len(pool), 2))
+                    beta = Form(ctx, p + 1, {
+                        idx: random_poly(local, ctx, 1, n_terms=2)
+                        for idx in picked})
+                    A = Regular(n, p, S, omega)
+                    B = Regular(n, p, S, omega + beta)
+                    want = all(sum(1 for i in idx if i in S) <= 1
+                               for idx in beta.comps)
+                    a_in_b = all(B.member(g) for g in A.generators())
+                    b_in_a = all(A.member(g) for g in B.generators())
+                    assert a_in_b == b_in_a == want, (n, p, S, beta)
+                    if want:
+                        assert (A.verify_involutive()["status"]
+                                == B.verify_involutive()["status"])
+                    verdicts.add(want)
+    assert verdicts == {True, False}
