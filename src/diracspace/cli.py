@@ -258,6 +258,7 @@ def cmd_check_morphism(args) -> int:
     ctx = _context(args.dim)
     with _reading_input():
         sigma = _parse_flag(args.sigma, ctx, Form, "--sigma")
+    sigma = Form.zero(ctx, 2) if sigma.is_zero() else sigma
     _require(sigma.degree == 2, "--sigma must be a 2-form")
 
     def rand_e0():

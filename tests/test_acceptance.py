@@ -25,8 +25,8 @@ from diracspace.lagrangian import (LinSubspace, classify, const_vfield,
 from diracspace.linfty import (ObservablesFamily,
                                TwistedSectionsFamily,
                                check_prequantum_morphism, check_relation,
-                               check_strict_morphism, gauge_map,
-                               lambda_scale_map, prequantization_map)
+                               gauge_map, lambda_scale_map,
+                               morphism_residual, prequantization_map)
 from diracspace.presentations import (GraphForm, HamiltonianDatum, Regular,
                                       ScaledTop, ham_bracket,
                                       hamiltonian_solve)
@@ -352,23 +352,25 @@ def test_criterion_8_isomorphism_suite():
     Fb = ObservablesFamily(GraphForm(3, 2, vol3 * lam))
     tuples = [[random_observables_elem(rng, Fa)
                for _ in range(rng.randint(1, 3))] for _ in range(25)]
-    ok = check_strict_morphism(Fa, Fb, lambda_scale_map(lam, Fb.P),
-                               tuples) == []
+    phi = lambda_scale_map(lam, Fb.P)
+    ok = all(morphism_residual(Fa, Fb, {1: phi}, t).is_zero() for t in tuples)
     H = Form(ctx3, 3, {(1, 2, 3): random_poly(rng, ctx3, 1)})
     B = random_form(rng, ctx3, 2, max_deg=2)
     F1 = TwistedSectionsFamily(2, ctx3, H)
     F2 = TwistedSectionsFamily(2, ctx3, H + deRham(B))
     tuples = [[random_twisted_elem(rng, F1)
                for _ in range(rng.randint(1, 3))] for _ in range(25)]
-    ok = ok and check_strict_morphism(F1, F2, gauge_map(B), tuples) == []
+    ok = ok and all(morphism_residual(F1, F2, {1: gauge_map(B)}, t).is_zero()
+                    for t in tuples)
     P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
     F = ObservablesFamily(P)
     pairs = [[F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3))),
               F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3)))]
              for _ in range(50)]
-    ok = ok and check_strict_morphism(
-        F, TwistedSectionsFamily(1, ctx2, P.omega), prequantization_map(P),
-        pairs) == []
+    F1 = TwistedSectionsFamily(1, ctx2, P.omega)
+    phi = prequantization_map(P)
+    ok = ok and all(morphism_residual(F, F1, {1: phi}, t).is_zero()
+                    for t in pairs)
     gate(8, ok,
          "scale and gauge maps are strict morphisms on 25 samples each; "
          "prequantization is a strict morphism on 50 polynomial pairs",

@@ -182,6 +182,16 @@ def test_check_morphism_closed(capsys):
         "chain_map", "unary_vs_phi1", "bracket_defect", "jacobiator_defect"}
 
 
+@pytest.mark.parametrize("sigma", ["0", "dx1^dx2 - dx1^dx2"])
+def test_check_morphism_zero_sigma(capsys, sigma):
+    # a zero expression is the zero 2-form, which is closed
+    code, reports = run_cli(capsys, "check-morphism", "--sigma", sigma,
+                            "--dim", "3", "--trials", "4", "--seed", "3")
+    assert code == 0
+    assert len(reports) == 4 and all(r["status"] == "pass" for r in reports)
+    assert main(["check-morphism", "--sigma", "x1", "--dim", "3"]) == 2
+
+
 def test_check_morphism_nonclosed_negative_control(capsys):
     code, reports = run_cli(capsys, "check-morphism", "--sigma",
                             "x3*dx1^dx2", "--dim", "3", "--trials", "3",

@@ -6,13 +6,13 @@ import pytest
 from diracspace.poly import Context, Poly
 from diracspace.calculus import Form, VField, deRham
 from diracspace.courant import SectionEp
-from diracspace.linfty import (ObservablesFamily,
-                               TwistedSectionsFamily,
+from diracspace import linfty
+from diracspace.linfty import (GradedElem, ObservablesFamily,
+                               TwistedSectionsFamily, _block_unshuffles,
                                check_prequantum_morphism, check_relation,
-                               check_strict_morphism, gauge_map,
-                               koszul_sign, lambda_scale_map,
-                               prequantization_map, prequantum_phi0,
-                               unshuffles)
+                               gauge_map, koszul_sign, lambda_scale_map,
+                               morphism_residual, prequantization_map,
+                               prequantum_phi0, prequantum_phi2, unshuffles)
 from diracspace.presentations import GraphForm
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_observables_elem, random_poly,
@@ -182,8 +182,8 @@ def test_prequantization_identity():
               F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3)))]
              for _ in range(10)]
     phi = prequantization_map(P)
-    assert check_strict_morphism(F, TwistedSectionsFamily(1, ctx2, P.omega),
-                                 phi, pairs) == []
+    F1 = TwistedSectionsFamily(1, ctx2, P.omega)
+    assert all(morphism_residual(F, F1, {1: phi}, t).is_zero() for t in pairs)
     # composed with phi0 it is f |-> X_f - df
     for a in (a for pair in pairs for a in pair):
         X, f = a.payload.X, a.payload.alpha
@@ -199,8 +199,9 @@ def test_lambda_scale_strict_morphism():
     Fa, Fb = ObservablesFamily(Pa), ObservablesFamily(Pb)
     tuples = [[random_observables_elem(rng, Fa) for _ in range(n)]
               for n in range(1, 4) for _ in range(5)]
-    assert check_strict_morphism(Fa, Fb, lambda_scale_map(lam, Pb),
-                                 tuples) == []
+    phi = lambda_scale_map(lam, Pb)
+    assert all(morphism_residual(Fa, Fb, {1: phi}, t).is_zero()
+               for t in tuples)
 
 
 def test_gauge_strict_morphism():
@@ -210,7 +211,8 @@ def test_gauge_strict_morphism():
     F2 = TwistedSectionsFamily(2, ctx3, H + deRham(B))
     tuples = [[random_twisted_elem(rng, F1) for _ in range(n)]
               for n in range(1, 4) for _ in range(5)]
-    assert check_strict_morphism(F1, F2, gauge_map(B), tuples) == []
+    assert all(morphism_residual(F1, F2, {1: gauge_map(B)}, t).is_zero()
+               for t in tuples)
 
 
 def test_unary_is_de_rham():
@@ -243,3 +245,72 @@ def test_check_relation_skips_vanishing_arities():
             assert check_relation(F, elems).is_zero()
             assert F.arities and max(F.arities) <= F.max_arity
             assert F.l(elems).is_zero()
+
+
+def _set_partitions(items):
+    # brute force: every set partition of the list ``items``
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[head]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[head] + part[i]] + part[i + 1:]
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (1, 2), (1, 2, 3), (2, 3)])
+def test_block_unshuffles_match_brute_force(sizes):
+    for n in range(7):
+        got = _block_unshuffles(tuple(range(n)), sizes)
+        assert len(got) == len(set(got))
+        for blocks in got:
+            assert all(list(b) == sorted(b) and len(b) in sizes
+                       for b in blocks)
+            for b, c in zip(blocks, blocks[1:]):
+                assert len(b) < len(c) or (len(b) == len(c) and b[0] < c[0])
+        ref = {tuple(sorted((tuple(b) for b in part),
+                            key=lambda b: (len(b), b[0])))
+               for part in _set_partitions(list(range(n)))
+               if all(len(b) in sizes for b in part)}
+        assert set(got) == ref, (sizes, n)
+
+
+def _prequantum_phis(dst, sigma, sign=1):
+    return {1: lambda a: GradedElem(0, SectionEp(
+                1, a.payload.X, sign * deRham(a.payload.alpha))),
+            2: lambda a, b: dst.form(-1, prequantum_phi2(a.payload,
+                                                         b.payload, sigma))}
+
+
+def test_prequantum_morphism_engine_catches_wrong_maps(monkeypatch):
+    # negative controls: each wrong map leaves a residual somewhere
+    sigma = random_closed_form(rng, ctx3, 2)
+    src = TwistedSectionsFamily(1, ctx3, sigma)
+    dst = TwistedSectionsFamily(2, ctx3)
+    graded = [[GradedElem(0, _rand_e0()) for _ in range(2)] for _ in range(6)]
+    assert all(morphism_residual(src, dst, _prequantum_phis(dst, sigma),
+                                 t).is_zero() for t in graded)
+    # phi1 = (X, -df)
+    wrong = _prequantum_phis(dst, sigma, sign=-1)
+    assert any(not morphism_residual(src, dst, wrong, t).is_zero()
+               for t in graded)
+    # phi2 negated
+    pairs = [(_rand_e0(), _rand_e0()) for _ in range(6)]
+    triples = [tuple(_rand_e0() for _ in range(3)) for _ in range(6)]
+    assert check_prequantum_morphism(sigma, pairs, triples)["status"] == "pass"
+    phi2 = linfty.prequantum_phi2
+    monkeypatch.setattr(linfty, "prequantum_phi2",
+                        lambda e1, e2, s: -phi2(e1, e2, s))
+    rep = check_prequantum_morphism(sigma, pairs, triples)
+    assert rep["bracket_defect"]["witnesses"]
+
+
+def test_prequantization_into_minus_omega_fails():
+    P = GraphForm(2, 1, Form.basis(ctx2, (1, 2)))
+    F = ObservablesFamily(P)
+    bad = TwistedSectionsFamily(1, ctx2, -P.omega)
+    pairs = [[F.element(Form.from_poly(random_poly(rng, ctx2, max_deg=3)))
+              for _ in range(2)] for _ in range(10)]
+    phi = {1: prequantization_map(P)}
+    assert any(not morphism_residual(F, bad, phi, t).is_zero() for t in pairs)
