@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .poly import Context, Poly
+from .poly import Context, Poly, _d, _mul_into
 
 
 def _sort_sign(seq, odd=None):
@@ -250,23 +250,6 @@ def _scaled(comps: dict) -> tuple:
             for idx, c in comps.items()], den
 
 
-def _mul_into(num: dict, sign: int, fa: list, gb: list) -> None:
-    """Add sign * fa * gb into the numerator map ``num``."""
-    add, get = int.__add__, num.get
-    for e1, c1 in fa:
-        c1 *= sign
-        for e2, c2 in gb:
-            e = tuple(map(add, e1, e2))
-            num[e] = get(e, 0) + c1 * c2
-
-
-def _d(terms: list, i: int) -> list:
-    """The partial derivative d/dx_i of a numerator list."""
-    j = i - 1
-    return [(e[:j] + (e[j] - 1,) + e[j + 1:], n * e[j])
-            for e, n in terms if e[j]]
-
-
 def _comps(ctx: Context, acc: dict, den: int) -> dict:
     """The nonzero Polys of the numerator maps in ``acc`` over ``den``."""
     out = {}
@@ -367,7 +350,7 @@ def deRham(a: Form) -> Form:
             if i not in idx and (dc := _d(terms, i)):
                 sign, merged = _wedge_idx((i,), idx)
                 num = acc.setdefault(merged, {})
-                for e, n in dc:
+                for e, n in dc.items():
                     num[e] = num.get(e, 0) + sign * n
     return Form._raw(a.ctx, deg, _comps(a.ctx, acc, den))
 
@@ -375,19 +358,22 @@ def deRham(a: Form) -> Form:
 def poincare_primitive(a: Form) -> Form:
     """A primitive of a closed polynomial form of degree >= 1.
 
-    Homotopy operator for the radial contraction: a homogeneous term of
-    polynomial degree d and form degree k maps to iota_E / (d + k) with
-    E the Euler field; d(kappa a) = a whenever da = 0.
+    Homotopy operator for the radial contraction: kappa a = iota_E a',
+    with E the Euler field and a' the form a with each term x^e dx_I of
+    form degree k divided by |e| + k; d(kappa a) = a whenever da = 0.
     """
-    if a.degree < 1:
+    k = a.degree
+    if k < 1:
         raise ValueError("primitives exist for forms of degree >= 1")
-    E = VField(a.ctx, {i: Poly.variable(a.ctx, i) for i in a.ctx.axes()})
-    out = Form.zero(a.ctx, a.degree - 1)
-    for idx, poly in a.comps.items():
-        for e, c in poly.terms.items():
-            piece = Form(a.ctx, a.degree, {idx: Poly(a.ctx, {e: c})})
-            out = out + Fraction(1, sum(e) + a.degree) * contract(E, piece)
-    return out
+    ctx = a.ctx
+    E = VField(ctx, {i: Poly.variable(ctx, i) for i in ctx.axes()})
+    weighted = {}
+    for idx, c in a.comps.items():
+        m = lcm(*[sum(e) + k for e in c._num])
+        weighted[idx] = Poly._raw(ctx, {
+            e: n * (m // (sum(e) + k)) for e, n in c._num.items()},
+            c._den * m)
+    return contract(E, Form._raw(ctx, k, weighted))
 
 
 def lie_derivative(X: VField, a: Form) -> Form:
@@ -418,41 +404,41 @@ def lie_bracket(X: VField, Y: VField) -> VField:
         for (i,), fp in P:
             for j, gq in Q:
                 if dg := _d(gq, i):
-                    _mul_into(acc.setdefault(j, {}), sign, fp, dg)
+                    _mul_into(acc.setdefault(j, {}), sign, fp, dg.items())
     return VField._raw(X.ctx, 1, _comps(X.ctx, acc, dx * dy))
 
 
 def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
     """Schouten bracket of multivector fields of degree >= 1.
 
-    Expanded componentwise through the decomposable formula
-    [X1^...^Xp, Y1^...^Yq] =
-        sum_{i,j} (-1)^{i+j} [Xi,Yj] ^ X1..^hat Xi..^Xp ^ Y1..^hat Yj..^Yq,
-    attaching the polynomial coefficient of each component to its first
-    wedge factor.  Reduces to the Lie bracket on vector fields.
+    On components, with a and b the 0-based positions in K and M,
+
+        [f D_K, g D_M] = sum_a (-1)^a f d_{K_a}g D_{M_0} ^ D_{K - K_a} ^ D_{M - M_0}
+                       - sum_b (-1)^b g d_{M_b}f D_K ^ D_{M - M_b},
+
+    the decomposable formula [X1^...^Xp, Y1^...^Yq] =
+    sum_{i,j} (-1)^{i+j} [Xi,Yj] ^ X1..^hat Xi..^Xp ^ Y1..^hat Yj..^Yq
+    with each coefficient on its first wedge factor: only brackets with
+    a coefficient-carrying factor survive.  A word that repeats an axis
+    drops.  Reduces to the Lie bracket on vector fields.
     """
     _check(P, Q, MultiVec, MultiVec)
     p, q = P.degree, Q.degree
     if p < 1 or q < 1:
         raise ValueError("schouten is implemented for degrees >= 1")
-    ctx = P.ctx
-    out = MultiVec.zero(ctx, p + q - 1)
-    for K, f in P.comps.items():
-        xs = [VField(ctx, {K[0]: f})] + [VField.basis(ctx, k) for k in K[1:]]
-        for M, g in Q.comps.items():
-            ys = [VField(ctx, {M[0]: g})] + [VField.basis(ctx, m) for m in M[1:]]
-            for i in range(p):
-                for j in range(q):
-                    br = lie_bracket(xs[i], ys[j])
-                    if br.is_zero():
-                        continue
-                    rest = br
-                    for t, v in enumerate(xs):
-                        if t != i:
-                            rest = wedge(rest, v)
-                    for t, v in enumerate(ys):
-                        if t != j:
-                            rest = wedge(rest, v)
-                    sgn = -1 if (i + j) % 2 else 1
-                    out = out + sgn * rest
-    return out
+    A, da = _scaled(P.comps)
+    B, db = _scaled(Q.comps)
+    acc: dict = {}
+    for K, f in A:
+        for M, g in B:
+            for a, k in enumerate(K):
+                sign, idx = _wedge_idx(M[:1] + K[:a] + K[a + 1:], M[1:])
+                if sign and (dg := _d(g, k)):
+                    _mul_into(acc.setdefault(idx, {}),
+                              -sign if a % 2 else sign, f, dg.items())
+            for b, m in enumerate(M):
+                sign, idx = _wedge_idx(K, M[:b] + M[b + 1:])
+                if sign and (df := _d(f, m)):
+                    _mul_into(acc.setdefault(idx, {}),
+                              sign if b % 2 else -sign, g, df.items())
+    return MultiVec._raw(P.ctx, p + q - 1, _comps(P.ctx, acc, da * db))

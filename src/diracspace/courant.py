@@ -117,13 +117,12 @@ def courant(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
                      br.alpha - deRham(pairing(e1, e2)) * Fraction(1, 2))
 
 
-def gauge(e: SectionEp, B: Form, sign: int = 1) -> SectionEp:
-    """Gauge transformation e^B: X+alpha -> X+alpha+iota_X B (sign -1 inverts)."""
+def gauge(e: SectionEp, B: Form) -> SectionEp:
+    """Gauge transformation e^B: X+alpha -> X+alpha+iota_X B; its inverse
+    e^{-B} is gauge(e, -B)."""
     if not B.is_zero() and B.degree != e.p + 1:
         raise ValueError(f"gauge form must have degree {e.p + 1}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return SectionEp(e.p, e.X, e.alpha + sign * contract(e.X, B))
+    return SectionEp(e.p, e.X, e.alpha + contract(e.X, B))
 
 
 def scale(e: SectionEp, lam) -> SectionEp:

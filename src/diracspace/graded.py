@@ -30,7 +30,7 @@ from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
 from .courant import SectionEp, dorfman
 from .linfty import GradedElem, TwistedSectionsFamily
-from .poly import Context, Poly, bernoulli
+from .poly import Context, Poly, _IntSum, bernoulli
 from .sampling import random_form, random_vfield
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -47,16 +47,14 @@ def _normal(word: tuple, rp: int) -> tuple:
     return _sort_sign(word, lambda g: _gen_degree(g, rp) % 2)
 
 
-class GPoly:
+class GPoly(_IntSum):
     """Polynomial in x_i, v_i, p_i, P_i.
 
-    Storage as in `Poly`: ``_num`` maps (exponents, word) keys, the word
-    in normal form, to nonzero `int` numerators over the positive common
-    denominator ``_den``, with ``gcd(_den, *_num.values()) == 1``.
-    `terms` reads the coefficients as nonzero Fractions.
+    Stored as an `_IntSum` keyed by (exponents, word), the word in
+    normal form.
     """
 
-    __slots__ = ("r", "ctx", "_num", "_den")
+    __slots__ = ("r", "ctx")
 
     def __init__(self, r: int, ctx: Context, terms: dict | None = None):
         self.r = r
@@ -112,34 +110,16 @@ class GPoly:
         """`_raw` of an accumulated map whose numerators may be zero."""
         return GPoly._raw(r, ctx, {k: n for k, n in num.items() if n}, den)
 
-    @property
-    def terms(self) -> dict:
-        """A fresh map from (exponents, word) to nonzero Fractions."""
-        den = self._den
-        return {k: Fraction(n, den) for k, n in self._num.items()}
+    def _like(self, num: dict, den: int = 1) -> "GPoly":
+        return GPoly._raw(self.r, self.ctx, num, den)
 
     @staticmethod
     def zero(r: int, ctx: Context) -> "GPoly":
         return GPoly._raw(r, ctx, {})
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def _check(self, other: "GPoly"):
         if self.r != other.r or self.ctx != other.ctx:
             raise ValueError("graded context mismatch")
-
-    def __add__(self, other: "GPoly") -> "GPoly":
-        self._check(other)
-        return _combine(self.r, self.ctx, [(1, self), (1, other)])
-
-    def __neg__(self) -> "GPoly":
-        return GPoly._raw(self.r, self.ctx,
-                          {k: -n for k, n in self._num.items()}, self._den)
-
-    def __sub__(self, other: "GPoly") -> "GPoly":
-        self._check(other)
-        return _combine(self.r, self.ctx, [(1, self), (-1, other)])
 
     def __mul__(self, other):
         if isinstance(other, GPoly):
@@ -154,14 +134,7 @@ class GPoly:
                         num[key] = num.get(key, 0) + s * ca * cb
             return GPoly._collect(self.r, self.ctx, num,
                                   self._den * other._den)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        p, q = other.as_integer_ratio()
-        if not p:
-            return GPoly.zero(self.r, self.ctx)
-        return GPoly._raw(self.r, self.ctx,
-                          {k: p * n for k, n in self._num.items()},
-                          self._den * q)
+        return self._scale(other)
 
     __rmul__ = __mul__
 

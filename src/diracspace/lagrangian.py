@@ -19,7 +19,7 @@ from math import comb
 from .calculus import Form, MultiVec, VField, contract, wedge
 from .courant import SectionPr, multi_pairing
 from .linalg import kernel_basis, solve, span_basis, span_equal
-from .poly import Context, Poly
+from .poly import Context, Poly, _as_rat
 
 
 def _tuples(n: int, k: int):
@@ -30,14 +30,14 @@ def _tuples(n: int, k: int):
 
 
 def const_vfield(ctx: Context, vec) -> VField:
-    return VField(ctx, {i: Poly.constant(ctx, Fraction(vec[i - 1]))
+    return VField(ctx, {i: Poly.constant(ctx, vec[i - 1])
                         for i in ctx.axes()})
 
 
 def const(cls, ctx: Context, degree: int, coords):
     """The constant ``cls`` (Form or MultiVec) with these coordinates."""
     return cls(ctx, degree, {
-        idx: Poly.constant(ctx, Fraction(c))
+        idx: Poly.constant(ctx, c)
         for idx, c in zip(_tuples(ctx.dim, degree), coords)
     })
 
@@ -87,7 +87,7 @@ class LinSubspace:
             raise ValueError(f"need 1 <= r <= p <= n, got r={r}, p={p}, n={n}")
         self.n, self.p, self.r = n, p, r
         amb = self.ambient_dim()
-        rows = [[Fraction(x) for x in row] for row in basis]
+        rows = [[_as_rat(x) for x in row] for row in basis]
         for row in rows:
             if len(row) != amb:
                 raise ValueError(f"vector length {len(row)}, ambient {amb}")
@@ -225,7 +225,7 @@ class LagrangianPair:
 
     def __init__(self, n: int, p: int, S, Omega: dict):
         self.n, self.p = n, p
-        self.S = span_basis([[Fraction(x) for x in row] for row in S])
+        self.S = span_basis([[_as_rat(x) for x in row] for row in S])
         k = len(self.S)
         clean = {}
         for (i, j), f in Omega.items():
@@ -328,7 +328,7 @@ def extend_to_form(n: int, p: int, S, betas) -> Form:
     of one (p+1)-form.
     """
     ctx = Context(n)
-    S = span_basis([[Fraction(x) for x in row] for row in S])
+    S = span_basis([[_as_rat(x) for x in row] for row in S])
     if len(S) != len(betas):
         raise ValueError("one beta per S basis vector required")
     for b in betas:
@@ -379,7 +379,7 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
         omega = Form.zero(ctx, p + 1)
     elif omega.degree != p + 1:
         raise ValueError("omega must be a (p+1)-form")
-    S = span_basis([[Fraction(x) for x in row] for row in S])
+    S = span_basis([[_as_rat(x) for x in row] for row in S])
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")

@@ -36,7 +36,7 @@ from .calculus import (
     lie_derivative,
 )
 from .courant import SectionEp, courant, gauge
-from .poly import Context, bernoulli
+from .poly import Context, _as_rat, bernoulli
 from .presentations import (
     HamiltonianDatum,
     NotHamiltonian,
@@ -393,7 +393,7 @@ def morphism_residual(src: MultibracketFamily, dst: MultibracketFamily,
 def lambda_scale_map(lam, dst_P: Presentation):
     """phi: multiply every component by lambda, retargeting Hamiltonian
     data at the lambda-scaled subbundle (same vector fields)."""
-    lam = Fraction(lam)
+    lam = _as_rat(lam)
 
     def phi(a: GradedElem) -> GradedElem:
         if a.degree == 0:
@@ -407,9 +407,10 @@ def lambda_scale_map(lam, dst_P: Presentation):
 def gauge_map(B: Form):
     """phi = e^{-B}: X + alpha -> X + alpha - iota_X B on degree 0,
     identity below; intertwines the H- and (H + dB)-twisted families."""
+    minus_B = -B
 
     def phi(a: GradedElem) -> GradedElem:
-        return GradedElem(0, gauge(a.payload, B, sign=-1)) if a.degree == 0 else a
+        return GradedElem(0, gauge(a.payload, minus_B)) if a.degree == 0 else a
 
     return phi
 

@@ -43,17 +43,104 @@ def _as_rat(c) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
-class Poly:
-    """Polynomial in x1..xn with rational coefficients.
+class _IntSum:
+    """The int-numerator store that `Poly` and `graded.GPoly` share.
 
-    Storage: ``_num`` maps exponent tuples (length n) to nonzero `int`
-    numerators and ``_den`` is the positive common denominator, with
-    ``gcd(_den, *_num.values()) == 1``; the zero polynomial is ``({}, 1)``.
-    `terms` reads the coefficients as nonzero Fractions.  Instances are
-    immutable by convention.
+    ``_num`` maps keys to nonzero `int` numerators and ``_den`` is the
+    positive common denominator, with ``gcd(_den, *_num.values()) == 1``;
+    zero is ``({}, 1)``.  A subclass supplies ``_check(other)``, which
+    refuses an operand of another context, and ``_like(num, den)``, which
+    builds a result of its own kind from a map of nonzero numerators over
+    a positive ``den`` and divides the content out.
     """
 
-    __slots__ = ("ctx", "_num", "_den")
+    __slots__ = ("_num", "_den")
+
+    @property
+    def terms(self) -> dict:
+        """A fresh map from keys to nonzero Fraction coefficients."""
+        den = self._den
+        return {k: Fraction(n, den) for k, n in self._num.items()}
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __add__(self, other):
+        self._check(other)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        da, db = self._den, other._den
+        if da == db:
+            num = dict(self._num)
+            items = other._num.items()
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            num = {k: c * sa for k, c in self._num.items()}
+            items = [(k, c * sb) for k, c in other._num.items()]
+            da = den
+        for key, c in items:
+            if key in num:
+                s = num[key] + c
+                if s:
+                    num[key] = s
+                else:
+                    del num[key]
+            else:
+                num[key] = c
+        return self._like(num, da)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _scale(self, other):
+        """The scalar multiple by an int or Fraction ``other``;
+        NotImplemented for any other operand."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, q = other.as_integer_ratio()
+        if not p:
+            return self._like({})
+        if q == 1 and p in (1, -1):
+            return self if p == 1 else -self
+        return self._like({k: p * c for k, c in self._num.items()},
+                          self._den * q)
+
+
+def _mul_into(num: dict, sign: int, fa, gb) -> None:
+    """Add sign * fa * gb into the numerator map ``num``; ``fa`` and
+    ``gb`` are (exponent tuple, numerator) pairs."""
+    add, get = int.__add__, num.get
+    for e1, c1 in fa:
+        c1 *= sign
+        for e2, c2 in gb:
+            e = tuple(map(add, e1, e2))
+            num[e] = get(e, 0) + c1 * c2
+
+
+def _d(terms, i: int) -> dict:
+    """The partial derivative d/dx_i of (exponent tuple, numerator)
+    pairs, as a numerator map; lowering one axis is injective on the
+    terms that have it, so each result term comes from exactly one input
+    term."""
+    j = i - 1
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: n * e[j]
+            for e, n in terms if e[j]}
+
+
+class Poly(_IntSum):
+    """Polynomial in x1..xn with rational coefficients.
+
+    Stored as an `_IntSum` keyed by exponent tuples of length n.
+    Instances are immutable by convention.
+    """
+
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: Context, terms: dict | None = None):
         self.ctx = ctx
@@ -64,13 +151,16 @@ class Poly:
                 if not isinstance(c, (int, Fraction)):
                     _as_rat(c)  # raises the TypeError
                 n, d = c.as_integer_ratio()
+                # every key is checked, a zero coefficient's too; a
+                # repeated vector (keys such as (0, 1) and range(2)) with
+                # a nonzero coefficient is refused: it would leave den
+                # above the lcm
+                key = tuple(exp)
+                if (len(key) != ctx.dim or any(e < 0 for e in key)
+                        or n and key in num):
+                    raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}")
                 if not n:
                     continue
-                # a repeated vector (keys such as (0, 1) and range(2))
-                # is refused: it would leave den above the lcm
-                key = tuple(exp)
-                if len(key) != ctx.dim or any(e < 0 for e in key) or key in num:
-                    raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}")
                 if den % d:
                     scale = d // gcd(den, d)
                     for e in num:
@@ -102,12 +192,8 @@ class Poly:
         zeros are dropped here."""
         return Poly._raw(ctx, {e: n for e, n in num.items() if n}, den)
 
-    @property
-    def terms(self) -> dict:
-        """A fresh map from exponent tuples to nonzero Fraction
-        coefficients."""
-        den = self._den
-        return {e: Fraction(n, den) for e, n in self._num.items()}
+    def _like(self, num: dict, den: int = 1) -> "Poly":
+        return Poly._raw(self.ctx, num, den)
 
     # -- constructors -------------------------------------------------
 
@@ -132,9 +218,6 @@ class Poly:
 
     # -- predicates ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self._num)
 
@@ -154,66 +237,19 @@ class Poly:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("context mismatch")
 
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        if not other._num:
-            return self
-        if not self._num:
-            return other
-        da, db = self._den, other._den
-        if da == db:
-            num = dict(self._num)
-            items = other._num.items()
-        else:
-            den = lcm(da, db)
-            sa, sb = den // da, den // db
-            num = {e: c * sa for e, c in self._num.items()}
-            items = [(e, c * sb) for e, c in other._num.items()]
-            da = den
-        for exp, c in items:
-            if exp in num:
-                s = num[exp] + c
-                if s:
-                    num[exp] = s
-                else:
-                    del num[exp]
-            else:
-                num[exp] = c
-        return Poly._raw(self.ctx, num, da)
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.ctx, {e: -c for e, c in self._num.items()},
-                         self._den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+    # perfbench reads its poly hooks from the methods in this class's
+    # own namespace, so the inherited sum is bound here
+    __add__ = _IntSum.__add__
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
             num: dict = {}
-            get = num.get
-            add = int.__add__
-            for e1, c1 in self._num.items():
-                for e2, c2 in other._num.items():
-                    e = tuple(map(add, e1, e2))
-                    prev = get(e)
-                    num[e] = c1 * c2 if prev is None else prev + c1 * c2
+            _mul_into(num, 1, self._num.items(), other._num.items())
             return Poly._collect(self.ctx, num, self._den * other._den)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        p, q = other.as_integer_ratio()
-        if not p:
-            return Poly._raw(self.ctx, {})
-        if q == 1 and p in (1, -1):
-            return self if p == 1 else -self
-        return Poly._raw(self.ctx, {e: p * c for e, c in self._num.items()},
-                         self._den * q)
+        return self._scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -227,15 +263,7 @@ class Poly:
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"axis {i} out of range 1..{self.ctx.dim}")
-        # lowering one axis is injective on the terms that have it, so
-        # each result term comes from exactly one input term
-        num: dict = {}
-        j = i - 1
-        for exp, c in self._num.items():
-            k = exp[j]
-            if k:
-                num[exp[:j] + (k - 1,) + exp[j + 1:]] = c * k
-        return Poly._raw(self.ctx, num, self._den)
+        return Poly._raw(self.ctx, _d(self._num.items(), i), self._den)
 
     def divide_exact(self, f: "Poly"):
         """Exact polynomial division: return q with self = q*f, or None.

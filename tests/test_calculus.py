@@ -361,3 +361,74 @@ def test_kernels_match_per_poly_reference():
         for s in (a + b if p == q else a + a, -a, Fraction(-5, 6) * a,
                   a * _kernel_poly(local, ctx)):
             _assert_kernel_result(s, s.degree, s.comps)
+
+
+# -- schouten and poincare_primitive against their per-term bodies -------
+# The references build the objects the kernels no longer build: a VField
+# per wedge factor, a lie_bracket and a wedge chain per pair of factors
+# for schouten, and one Form and one contraction per term for the
+# primitive.
+
+
+def _ref_schouten(P, Q):
+    ctx = P.ctx
+    out = MultiVec.zero(ctx, P.degree + Q.degree - 1)
+    for K, f in P.comps.items():
+        xs = [VField(ctx, {K[0]: f})] + [VField.basis(ctx, k) for k in K[1:]]
+        for M, g in Q.comps.items():
+            ys = [VField(ctx, {M[0]: g})] + [VField.basis(ctx, m)
+                                             for m in M[1:]]
+            for i in range(len(xs)):
+                for j in range(len(ys)):
+                    rest = lie_bracket(xs[i], ys[j])
+                    if rest.is_zero():
+                        continue
+                    for t, v in enumerate(xs):
+                        if t != i:
+                            rest = wedge(rest, v)
+                    for t, v in enumerate(ys):
+                        if t != j:
+                            rest = wedge(rest, v)
+                    out = out + (-1) ** (i + j) * rest
+    return out
+
+
+def _ref_poincare_primitive(a):
+    ctx = a.ctx
+    E = VField(ctx, {i: Poly.variable(ctx, i) for i in ctx.axes()})
+    out = Form.zero(ctx, a.degree - 1)
+    for idx, poly in a.comps.items():
+        for e, c in poly.terms.items():
+            piece = Form(ctx, a.degree, {idx: Poly(ctx, {e: c})})
+            out = out + Fraction(1, sum(e) + a.degree) * contract(E, piece)
+    return out
+
+
+def test_schouten_matches_per_factor_reference():
+    # every degree pair on dims 1-5, p + q - 1 > n included
+    local = random.Random(4093)
+    for _ in range(10):
+        for n in range(1, 6):
+            ctx = Context(n)
+            for p in range(1, n + 1):
+                for q in range(1, n + 1):
+                    P = MultiVec(ctx, p, _kernel_comps(local, ctx, p))
+                    Q = MultiVec(ctx, q, _kernel_comps(local, ctx, q))
+                    got, want = schouten(P, Q), _ref_schouten(P, Q)
+                    assert got == want and str(got) == str(want), (P, Q)
+                    _assert_kernel_result(got, p + q - 1, want.comps)
+
+
+def test_poincare_primitive_matches_per_term_reference():
+    # closed and non-closed forms of every degree on dims 1-5
+    local = random.Random(3571)
+    for _ in range(10):
+        for n in range(1, 6):
+            ctx = Context(n)
+            for k in range(1, n + 1):
+                for a in (Form(ctx, k, _kernel_comps(local, ctx, k)),
+                          random_closed_form(local, ctx, k)):
+                    got = poincare_primitive(a)
+                    want = _ref_poincare_primitive(a)
+                    assert got == want and str(got) == str(want), a
+                    _assert_kernel_result(got, k - 1, want.comps)

@@ -71,9 +71,8 @@ def test_gauge_intertwines_twists():
     for _ in range(6):
         e1, e2 = rand_sec(ctx, p), rand_sec(ctx, p)
         # e^{-B} carries the H-twisted bracket to the (H+dB)-twisted one
-        lhs = gauge(dorfman(e1, e2, H), B, sign=-1)
-        rhs = dorfman(gauge(e1, B, sign=-1), gauge(e2, B, sign=-1),
-                      H + deRham(B))
+        lhs = gauge(dorfman(e1, e2, H), -B)
+        rhs = dorfman(gauge(e1, -B), gauge(e2, -B), H + deRham(B))
         assert (lhs - rhs).is_zero()
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from diracspace.poly import Context
 from diracspace.calculus import Form, MultiVec, contract
-from diracspace.lagrangian import (LinSubspace, _omega_extension_to_p_forms,
+from diracspace.lagrangian import (LagrangianPair, LinSubspace,
+                                   _omega_extension_to_p_forms,
                                    _tuples, annihilator, classify, const,
                                    const_vfield, coords, extend_to_form,
                                    form_eval,
@@ -327,6 +328,22 @@ def test_extend_to_form_refuses_inconsistent_betas():
         betas[1] = betas[1] + Form.basis(ctx4, (1, 3))
         with pytest.raises(ValueError):
             extend_to_form(4, 2, S, betas)
+
+
+def test_entries_must_be_integers_or_fractions():
+    # a float or a string entry is refused, as Poly.constant refuses it
+    ctx = Context(2)
+    w = Form.basis(ctx, (1, 2))
+    for bad in (0.1, "1/3"):
+        for build in (lambda: LinSubspace(2, 1, [[bad, 0, 0, 0]]),
+                      lambda: LagrangianPair(2, 1, [[bad, 0]], {}),
+                      lambda: extend_to_form(2, 1, [[bad, 0]],
+                                             [Form.zero(ctx, 1)]),
+                      lambda: norom_subspace(2, 1, [[bad, 0]], w),
+                      lambda: const_vfield(ctx, [bad, 0]),
+                      lambda: const(Form, ctx, 1, [bad, 0])):
+            with pytest.raises(TypeError):
+                build()
 
 
 def test_non_lagrangian_input_is_refused():

@@ -202,6 +202,9 @@ def test_lambda_scale_strict_morphism():
     phi = lambda_scale_map(lam, Pb)
     assert all(morphism_residual(Fa, Fb, {1: phi}, t).is_zero()
                for t in tuples)
+    for bad in (0.1, "2"):
+        with pytest.raises(TypeError):
+            lambda_scale_map(bad, Pb)
 
 
 def test_gauge_strict_morphism():

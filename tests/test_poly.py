@@ -120,6 +120,11 @@ def test_public_constructor_rejects_bad_exponents():
         Poly(ctx, {(1, 0, 0): Fraction(1)})
     with pytest.raises(ValueError):
         Poly(ctx, {(1, -1): Fraction(1)})
+    # a zero coefficient does not excuse its key
+    with pytest.raises(ValueError):
+        Poly(ctx, {(1, 2, 3): 0})
+    with pytest.raises(ValueError):
+        Poly(ctx, {(1, -1): 0})
     with pytest.raises(TypeError):
         Poly(ctx, {(1, 0): 0.5})
 

@@ -11,3 +11,17 @@ def test_sources_compile_without_warnings():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compile(path.read_text(), str(path), "exec")
+
+
+def test_perfbench_hooks_are_defined_in_their_own_classes():
+    # perfbench/tracing.py wraps only the attributes in a class's own
+    # namespace, so an inherited method records no calls under these names
+    from diracspace.graded import GPoly
+    from diracspace.poly import Poly
+    from diracspace.presentations import HamiltonianDatum
+
+    for cls, names in ((Poly, ("__init__", "__add__", "__mul__", "partial")),
+                       (GPoly, ("__init__",)),
+                       (HamiltonianDatum, ("__init__",))):
+        for name in names:
+            assert name in vars(cls), f"{cls.__name__}.{name}"
