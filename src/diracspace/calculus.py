@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .poly import Context, Poly, _d, _mul_into
+from .poly import Context, Poly, _IntSum, _reduced
 
 
 def _sort_sign(seq, odd=None):
@@ -58,114 +58,132 @@ def _kind(a) -> type:
     return MultiVec if isinstance(a, MultiVec) else Form
 
 
-class _Graded:
-    """Shared storage for forms and multivectors: degree + component map.
+class _Graded(_IntSum):
+    """Shared storage for forms and multivectors: an `_IntSum` keyed by
+    (index tuple, exponent tuple), with its context and degree.
 
     ``_prefix`` names the basis ("dx" or "Dx") and is the kind that
     equality and hashing compare, so subclasses of one kind are equal
-    when their components are.
+    when their terms are.
     """
 
-    __slots__ = ("ctx", "degree", "comps")
+    __slots__ = ("ctx", "degree")
 
     def __init__(self, ctx: Context, degree: int, comps: dict | None = None):
         self.ctx = ctx
         self.degree = degree
-        clean: dict = {}
-        if comps and 0 <= degree <= ctx.dim:
-            for idx, c in comps.items():
-                idx = tuple(idx)
-                if isinstance(c, (int, Fraction)):
-                    c = Poly.constant(ctx, c)
-                if c.is_zero():
-                    continue
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"bad index tuple {idx} for degree {degree}")
-                if idx and not (1 <= idx[0] and idx[-1] <= ctx.dim):
-                    raise ValueError(f"index tuple {idx} out of range")
-                clean[idx] = c
-        self.comps = clean
+        clean = []
+        for idx, c in (comps or {}).items():
+            idx = tuple(idx)
+            if isinstance(c, (int, Fraction)):
+                c = Poly.constant(ctx, c)
+            if c.is_zero():
+                continue
+            if c.ctx is not ctx and c.ctx != ctx:
+                raise ValueError("context mismatch")
+            if len(idx) != degree or list(idx) != sorted(set(idx)):
+                raise ValueError(f"bad index tuple {idx} for degree {degree}")
+            if idx and not (1 <= idx[0] and idx[-1] <= ctx.dim):
+                raise ValueError(f"index tuple {idx} out of range")
+            clean.append((idx, c))
+        # over the lcm of the component denominators no content is left
+        den = lcm(*[c._den for _, c in clean])
+        self._num = {(idx, e): n * (den // c._den)
+                     for idx, c in clean for e, n in c._num.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, ctx: Context, degree: int, comps: dict):
-        """Trusted constructor for results: ``comps`` maps strictly
-        increasing in-range index tuples of length ``degree`` to nonzero
-        Polys, so nothing is re-validated (a VField is built as well)."""
+    def _raw(cls, ctx: Context, degree: int, num: dict, den: int = 1):
+        """Trusted constructor for results: ``num`` maps (strictly
+        increasing in-range index tuple of length ``degree``, exponent
+        tuple) keys to nonzero ints over a positive ``den``, so nothing
+        is re-validated (a VField is built as well)."""
         out = object.__new__(cls)
         out.ctx = ctx
         out.degree = degree
-        out.comps = comps
+        out._num, out._den = _reduced(num, den)
         return out
 
     @classmethod
+    def _collect(cls, ctx: Context, degree: int, num: dict, den: int = 1):
+        """`_raw` of an accumulated map whose numerators may be zero."""
+        return cls._raw(ctx, degree, {k: n for k, n in num.items() if n}, den)
+
+    def _like(self, num: dict, den: int = 1):
+        return type(self)._raw(self.ctx, self.degree, num, den)
+
+    @classmethod
     def zero(cls, ctx: Context, degree: int = 0):
-        return cls(ctx, degree)
+        return cls._raw(ctx, degree, {})
 
     @classmethod
     def basis(cls, ctx: Context, idx: tuple):
-        return cls(ctx, len(idx), {tuple(idx): Poly.constant(ctx, 1)})
+        return cls(ctx, len(idx), {tuple(idx): 1})
 
-    def is_zero(self) -> bool:
-        return not self.comps
+    @property
+    def comps(self) -> dict:
+        """A fresh map from index tuples to nonzero Poly coefficients."""
+        parts: dict = {}
+        for (idx, e), n in self._num.items():
+            parts.setdefault(idx, {})[e] = n
+        return {idx: Poly._raw(self.ctx, num, self._den)
+                for idx, num in parts.items()}
+
+    def _part(self, idx: tuple) -> Poly:
+        """The coefficient of the basis element ``idx``."""
+        return Poly._raw(self.ctx, {e: n for (i, e), n in self._num.items()
+                                    if i == idx}, self._den)
 
     def __eq__(self, other) -> bool:
-        if (not isinstance(other, _Graded) or self._prefix != other._prefix
-                or self.ctx != other.ctx):
-            return False
-        if self.is_zero() and other.is_zero():
-            return True
-        return self.degree == other.degree and self.comps == other.comps
+        # zeros of any degree are equal; otherwise the keys fix the degree
+        return (isinstance(other, _Graded) and self._prefix == other._prefix
+                and self.ctx == other.ctx and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self._prefix, self.ctx, frozenset(self.comps.items())))
+        return hash((self._prefix, self.ctx, self._den,
+                     frozenset(self._num.items())))
 
-    def __add__(self, other):
-        _check(self, other, _kind(self), _kind(self))
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
+    def _check(self, other):
+        kind = _kind(self)
+        _check(self, other, kind, kind)
+        if self.degree != other.degree and self._num and other._num:
             raise ValueError("degree mismatch in sum")
-        comps = dict(self.comps)
-        for idx, c in other.comps.items():
-            prev = comps.get(idx)
-            if prev is None:
-                comps[idx] = c
-            elif (c := prev + c).is_zero():
-                del comps[idx]
-            else:
-                comps[idx] = c
-        return type(self)._raw(self.ctx, self.degree, comps)
 
-    def __neg__(self):
-        return type(self)._raw(self.ctx, self.degree,
-                               {i: -c for i, c in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    # perfbench reads its calculus hooks from the methods in this class's
+    # own namespace, so the inherited sum is bound here
+    __add__ = _IntSum.__add__
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, Poly)):
-            return NotImplemented
-        return type(self)._raw(self.ctx, self.degree, {
-            i: p for i, c in self.comps.items()
-            if not (p := c * other).is_zero()})
+        if not isinstance(other, Poly):
+            return self._scale(other)
+        if other.ctx != self.ctx:
+            raise ValueError("context mismatch")
+        num: dict = {}
+        get = num.get
+        for (idx, e1), c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                key = (idx, tuple(map(int.__add__, e1, e2)))
+                num[key] = get(key, 0) + c1 * c2
+        return self._collect(self.ctx, self.degree, num,
+                             self._den * other._den)
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
+        one = {(0,) * self.ctx.dim: 1}
         parts = []
-        for idx in sorted(self.comps):
-            c = self.comps[idx]
+        comps = self.comps
+        for idx in sorted(comps):
+            c = comps[idx]
             basis = "^".join(f"{self._prefix}{i}" for i in idx)
             if not basis:
                 parts.append(str(c))
-            elif c == Poly.constant(self.ctx, 1):
+            elif c._den == 1 and c._num == one:
                 parts.append(basis)
-            elif len(c.terms) == 1:
+            elif len(c._num) == 1:
                 parts.append(f"{c}*{basis}")
             else:
                 parts.append(f"({c})*{basis}")
@@ -187,12 +205,7 @@ class Form(_Graded):
     def to_poly(self) -> Poly:
         if self.degree != 0 and not self.is_zero():
             raise ValueError("not a 0-form")
-        return self.comps.get(()) or Poly.zero(self.ctx)
-
-    def __str__(self) -> str:
-        if self.degree == 0 and not self.is_zero():
-            return str(self.to_poly())
-        return super().__str__()
+        return self._part(())
 
 
 class MultiVec(_Graded):
@@ -203,7 +216,7 @@ class MultiVec(_Graded):
     def to_vfield(self) -> "VField":
         if self.degree != 1 and not self.is_zero():
             raise ValueError("not a 1-vector")
-        return VField(self.ctx, {i[0]: c for i, c in self.comps.items()})
+        return VField._raw(self.ctx, 1, self._num, self._den)
 
 
 class VField(MultiVec):
@@ -215,17 +228,17 @@ class VField(MultiVec):
 
     @staticmethod
     def zero(ctx: Context) -> "VField":
-        return VField(ctx)
+        return VField._raw(ctx, 1, {})
 
     @staticmethod
     def basis(ctx: Context, i: int) -> "VField":
-        return VField(ctx, {i: Poly.constant(ctx, 1)})
+        return VField(ctx, {i: 1})
 
     def component(self, i: int) -> Poly:
-        return self.comps.get((i,)) or Poly.zero(self.ctx)
+        return self._part((i,))
 
     def to_multivec(self) -> MultiVec:
-        return MultiVec(self.ctx, 1, self.comps)
+        return MultiVec._raw(self.ctx, 1, self._num, self._den)
 
     def __call__(self, f: Poly) -> Poly:
         """Directional derivative X(f)."""
@@ -236,43 +249,26 @@ class VField(MultiVec):
 
 
 # ---------------------------------------------------------------------
-# integer kernels: each operand's components are read as int numerators
-# over the lcm of their denominators, products are accumulated per
-# (index tuple, exponent tuple), and every result Poly is built once
+# integer kernels: every loop runs over the (index, exponent) terms of
+# its operands and accumulates int numerators into one flat map over the
+# product of their denominators
 
 
-def _scaled(comps: dict) -> tuple:
-    """([(index, (exponent, numerator) pairs), ...], den): the components
-    over their common denominator ``den``."""
-    den = lcm(*[c._den for c in comps.values()])
-    return [(idx, c._num.items() if c._den == den else
-             [(e, n * (den // c._den)) for e, n in c._num.items()])
-            for idx, c in comps.items()], den
-
-
-def _comps(ctx: Context, acc: dict, den: int) -> dict:
-    """The nonzero Polys of the numerator maps in ``acc`` over ``den``."""
-    out = {}
-    for idx, num in acc.items():
-        c = Poly._collect(ctx, num, den)
-        if not c.is_zero():
-            out[idx] = c
-    return out
-
-
-def _bilinear(a: dict, b: dict, rule, ctx: Context) -> dict:
-    """Sum of sign * f * g at idx over the components (I, f) of ``a``
-    and (J, g) of ``b``, where rule(I, J) = (sign, idx); a zero sign
-    drops the pair."""
-    A, da = _scaled(a)
-    B, db = _scaled(b)
-    acc: dict = {}
-    for I, fa in A:
-        for J, gb in B:
+def _bilinear(a: _Graded, b: _Graded, rule, kind: type, degree: int):
+    """The ``kind`` of ``degree`` summing sign * f * g at idx over the
+    terms (I, f) of ``a`` and (J, g) of ``b``, where rule(I, J) =
+    (sign, idx); a zero sign drops the pair."""
+    num: dict = {}
+    get = num.get
+    add = int.__add__
+    items = b._num.items()
+    for (I, e1), c1 in a._num.items():
+        for (J, e2), c2 in items:
             sign, idx = rule(I, J)
             if sign:
-                _mul_into(acc.setdefault(idx, {}), sign, fa, gb)
-    return _comps(ctx, acc, da * db)
+                key = (idx, tuple(map(add, e1, e2)))
+                num[key] = get(key, 0) + sign * c1 * c2
+    return kind._collect(a.ctx, degree, num, a._den * b._den)
 
 
 # ---------------------------------------------------------------------
@@ -292,7 +288,7 @@ def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
     deg = a.degree + b.degree
     if deg > a.ctx.dim:
         return kind.zero(a.ctx, deg)
-    return kind._raw(a.ctx, deg, _bilinear(a.comps, b.comps, _wedge_idx, a.ctx))
+    return _bilinear(a, b, _wedge_idx, kind, deg)
 
 
 # ---------------------------------------------------------------------
@@ -320,8 +316,7 @@ def contract(Y: MultiVec, a: Form) -> Form:
     deg = a.degree - Y.degree
     if deg < 0:
         return Form.zero(a.ctx, deg)
-    return Form._raw(a.ctx, deg,
-                     _bilinear(Y.comps, a.comps, _contract_idx, a.ctx))
+    return _bilinear(Y, a, _contract_idx, Form, deg)
 
 
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
@@ -331,28 +326,31 @@ def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
     deg = pi.degree - alpha.degree
     if deg < 0:
         return MultiVec.zero(pi.ctx, deg)
-    return MultiVec._raw(pi.ctx, deg,
-                         _bilinear(alpha.comps, pi.comps, _contract_idx, pi.ctx))
+    return _bilinear(alpha, pi, _contract_idx, MultiVec, deg)
 
 
 # ---------------------------------------------------------------------
 # derivatives and brackets
 
 
+def _lower(e: tuple, j: int) -> tuple:
+    """The exponent tuple ``e`` with entry ``j`` (0-based) lowered by one."""
+    return e[:j] + (e[j] - 1,) + e[j + 1:]
+
+
 def deRham(a: Form) -> Form:
     deg = a.degree + 1
     if deg > a.ctx.dim:
         return Form.zero(a.ctx, deg)
-    A, den = _scaled(a.comps)
-    acc: dict = {}
-    for idx, terms in A:
-        for i in a.ctx.axes():
-            if i not in idx and (dc := _d(terms, i)):
-                sign, merged = _wedge_idx((i,), idx)
-                num = acc.setdefault(merged, {})
-                for e, n in dc.items():
-                    num[e] = num.get(e, 0) + sign * n
-    return Form._raw(a.ctx, deg, _comps(a.ctx, acc, den))
+    num: dict = {}
+    get = num.get
+    for (idx, e), n in a._num.items():
+        for j, k in enumerate(e):
+            if k and j + 1 not in idx:
+                sign, merged = _wedge_idx((j + 1,), idx)
+                key = (merged, _lower(e, j))
+                num[key] = get(key, 0) + sign * k * n
+    return Form._collect(a.ctx, deg, num, a._den)
 
 
 def poincare_primitive(a: Form) -> Form:
@@ -361,19 +359,20 @@ def poincare_primitive(a: Form) -> Form:
     Homotopy operator for the radial contraction: kappa a = iota_E a',
     with E the Euler field and a' the form a with each term x^e dx_I of
     form degree k divided by |e| + k; d(kappa a) = a whenever da = 0.
+    Contracting x_i d/dx_i out of dx_I at position t costs (-1)^t.
     """
     k = a.degree
     if k < 1:
         raise ValueError("primitives exist for forms of degree >= 1")
-    ctx = a.ctx
-    E = VField(ctx, {i: Poly.variable(ctx, i) for i in ctx.axes()})
-    weighted = {}
-    for idx, c in a.comps.items():
-        m = lcm(*[sum(e) + k for e in c._num])
-        weighted[idx] = Poly._raw(ctx, {
-            e: n * (m // (sum(e) + k)) for e, n in c._num.items()},
-            c._den * m)
-    return contract(E, Form._raw(ctx, k, weighted))
+    m = lcm(*[sum(e) + k for _, e in a._num])
+    num: dict = {}
+    get = num.get
+    for (idx, e), n in a._num.items():
+        n *= m // (sum(e) + k)
+        for t, i in enumerate(idx):
+            key = (idx[:t] + idx[t + 1:], e[:i - 1] + (e[i - 1] + 1,) + e[i:])
+            num[key] = get(key, 0) + (-n if t % 2 else n)
+    return Form._collect(a.ctx, k - 1, num, a._den * m)
 
 
 def lie_derivative(X: VField, a: Form) -> Form:
@@ -394,18 +393,47 @@ def lie_derivative_direct(X: VField, a: Form) -> Form:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _bracket_rule(K: tuple, M: tuple) -> tuple:
+    """[f D_K, g D_M] as entries (on_g, j, sign, idx) read off the
+    `schouten` formula: an entry adds sign * f d_j(g) D_idx when ``on_g``
+    holds and sign * g d_j(f) D_idx otherwise, d_j the partial derivative
+    by x_(j+1); a word that repeats an axis is left out."""
+    rule = []
+    for a, k in enumerate(K):
+        sign, idx = _wedge_idx(M[:1] + K[:a] + K[a + 1:], M[1:])
+        if sign:
+            rule.append((True, k - 1, -sign if a % 2 else sign, idx))
+    for b, m in enumerate(M):
+        sign, idx = _wedge_idx(K, M[:b] + M[b + 1:])
+        if sign:
+            rule.append((False, m - 1, sign if b % 2 else -sign, idx))
+    return tuple(rule)
+
+
+def _bracket(P: MultiVec, Q: MultiVec, kind: type) -> MultiVec:
+    """The Schouten bracket of P and Q as a ``kind``, term by term."""
+    num: dict = {}
+    get = num.get
+    add = int.__add__
+    items = Q._num.items()
+    for (K, ef), f in P._num.items():
+        for (M, eg), g in items:
+            e = tuple(map(add, ef, eg))
+            for on_g, j, sign, idx in _bracket_rule(K, M):
+                if k := (eg if on_g else ef)[j]:
+                    key = (idx, _lower(e, j))
+                    num[key] = get(key, 0) + sign * k * f * g
+    return kind._collect(P.ctx, P.degree + Q.degree - 1, num,
+                         P._den * Q._den)
+
+
 def lie_bracket(X: VField, Y: VField) -> VField:
-    """[X, Y]_j = X_i d_i Y_j - Y_i d_i X_j."""
+    """[X, Y]_j = X_i d_i Y_j - Y_i d_i X_j: `schouten` in degree 1."""
     _check(X, Y, MultiVec, MultiVec)
-    XS, dx = _scaled(X.comps)
-    YS, dy = _scaled(Y.comps)
-    acc: dict = {}
-    for P, Q, sign in ((XS, YS, 1), (YS, XS, -1)):
-        for (i,), fp in P:
-            for j, gq in Q:
-                if dg := _d(gq, i):
-                    _mul_into(acc.setdefault(j, {}), sign, fp, dg.items())
-    return VField._raw(X.ctx, 1, _comps(X.ctx, acc, dx * dy))
+    if X.degree != 1 or Y.degree != 1:
+        raise ValueError("lie_bracket takes two vector fields")
+    return _bracket(X, Y, VField)
 
 
 def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
@@ -423,22 +451,6 @@ def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
     drops.  Reduces to the Lie bracket on vector fields.
     """
     _check(P, Q, MultiVec, MultiVec)
-    p, q = P.degree, Q.degree
-    if p < 1 or q < 1:
+    if P.degree < 1 or Q.degree < 1:
         raise ValueError("schouten is implemented for degrees >= 1")
-    A, da = _scaled(P.comps)
-    B, db = _scaled(Q.comps)
-    acc: dict = {}
-    for K, f in A:
-        for M, g in B:
-            for a, k in enumerate(K):
-                sign, idx = _wedge_idx(M[:1] + K[:a] + K[a + 1:], M[1:])
-                if sign and (dg := _d(g, k)):
-                    _mul_into(acc.setdefault(idx, {}),
-                              -sign if a % 2 else sign, f, dg.items())
-            for b, m in enumerate(M):
-                sign, idx = _wedge_idx(K, M[:b] + M[b + 1:])
-                if sign and (df := _d(f, m)):
-                    _mul_into(acc.setdefault(idx, {}),
-                              sign if b % 2 else -sign, g, df.items())
-    return MultiVec._raw(P.ctx, p + q - 1, _comps(P.ctx, acc, da * db))
+    return _bracket(P, Q, MultiVec)

@@ -34,7 +34,7 @@ class SectionEp:
             raise ValueError("context mismatch")
         self.p = p
         self.X = X
-        self.alpha = Form._raw(alpha.ctx, p, alpha.comps)
+        self.alpha = alpha if alpha.degree == p else Form.zero(alpha.ctx, p)
 
     @property
     def ctx(self) -> Context:
@@ -151,8 +151,9 @@ class SectionPr:
             raise ValueError(f"form degree {eta.degree}, expected {p + 1 - r}")
         self.p = p
         self.r = r
-        self.Y = MultiVec(Y.ctx, r, Y.comps)
-        self.eta = Form(eta.ctx, p + 1 - r, eta.comps)
+        self.Y = Y if Y.degree == r else MultiVec.zero(Y.ctx, r)
+        self.eta = (eta if eta.degree == p + 1 - r
+                    else Form.zero(eta.ctx, p + 1 - r))
 
     @property
     def ctx(self) -> Context:

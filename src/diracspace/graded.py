@@ -30,7 +30,7 @@ from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
 from .courant import SectionEp, dorfman
 from .linfty import GradedElem, TwistedSectionsFamily
-from .poly import Context, Poly, _IntSum, bernoulli
+from .poly import Context, _IntSum, _reduced, bernoulli
 from .sampling import random_form, random_vfield
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -93,16 +93,10 @@ class GPoly(_IntSum):
         """Trusted constructor for arithmetic results: ``num`` maps valid
         keys with normal words to nonzero ints and ``den`` is positive;
         the content is divided out here."""
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {k: n // g for k, n in num.items()}
-                den //= g
         out = object.__new__(GPoly)
         out.r = r
         out.ctx = ctx
-        out._num = num
-        out._den = den
+        out._num, out._den = _reduced(num, den)
         return out
 
     @staticmethod
@@ -118,6 +112,8 @@ class GPoly(_IntSum):
         return GPoly._raw(r, ctx, {})
 
     def _check(self, other: "GPoly"):
+        if not isinstance(other, GPoly):
+            raise ValueError(f"expected a GPoly, got a {type(other).__name__}")
         if self.r != other.r or self.ctx != other.ctx:
             raise ValueError("graded context mismatch")
 
@@ -268,24 +264,16 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
 # -- encoding the complex ----------------------------------------------
 
 
-def _encode(r: int, ctx: Context, parts) -> GPoly:
-    """The GPoly sum of word * poly over (word, Poly) pairs with distinct
-    words already in normal form, read from the Polys' int numerators."""
-    den = lcm(*(poly._den for _, poly in parts))
-    return GPoly._raw(r, ctx, {
-        (e, word): n * (den // poly._den)
-        for word, poly in parts for e, n in poly._num.items()}, den)
-
-
 def encode_form(r: int, alpha: Form) -> GPoly:
     # a word of v's in increasing index order is in normal form
-    return _encode(r, alpha.ctx, [(tuple(("v", i - 1) for i in idx), poly)
-                                  for idx, poly in alpha.comps.items()])
+    return GPoly._raw(r, alpha.ctx, {
+        (e, tuple(("v", i - 1) for i in idx)): n
+        for (idx, e), n in alpha._num.items()}, alpha._den)
 
 
 def encode_vfield(r: int, X: VField) -> GPoly:
-    return _encode(r, X.ctx, [((("p", i - 1),), X.component(i))
-                              for i in X.ctx.axes()])
+    return GPoly._raw(r, X.ctx, {(e, (("p", i - 1),)): n
+                                 for ((i,), e), n in X._num.items()}, X._den)
 
 
 def encode_section(r: int, e: SectionEp) -> GPoly:
@@ -298,30 +286,29 @@ def decode(g: GPoly, p: int | None = None, section: bool = False):
     ``p`` fixes the degree read off an identically zero input; ``section``
     forces a SectionEp even when one component vanishes."""
     ctx = g.ctx
-    form_terms: dict = {}
-    field_terms: dict = {}
-    for (e, word), c in g.terms.items():
+    form_num: dict = {}
+    field_num: dict = {}
+    for (e, word), n in g._num.items():
         kinds = {w[0] for w in word}
         if "P" in kinds:
             raise ValueError("cannot decode a word containing P generators")
         if kinds == {"v"} or not kinds:
-            idx = tuple(i + 1 for _, i in word)
-            form_terms.setdefault(idx, {})[e] = c
+            # a normal word of v's has increasing indices
+            form_num[(tuple(i + 1 for _, i in word), e)] = n
         elif kinds == {"p"} and len(word) == 1:
-            field_terms.setdefault(word[0][1] + 1, {})[e] = c
+            field_num[((word[0][1] + 1,), e)] = n
         else:
             raise ValueError(f"undecodable word {word}")
-    degs = {len(idx) for idx in form_terms}
+    degs = {len(idx) for idx, _ in form_num}
     if len(degs) > 1:
         raise ValueError("mixed form degrees")
     deg = degs.pop() if degs else (p if p is not None else 0)
-    alpha = Form(ctx, deg, {idx: Poly(ctx, t)
-                            for idx, t in form_terms.items()})
-    X = VField(ctx, {i: Poly(ctx, t) for i, t in field_terms.items()})
-    if not field_terms and not section:
+    alpha = Form._raw(ctx, deg, form_num, g._den)
+    X = VField._raw(ctx, 1, field_num, g._den)
+    if not field_num and not section:
         return alpha
-    if not form_terms:
-        if not section and field_terms:
+    if not form_num:
+        if not section and field_num:
             return X
         alpha = Form.zero(ctx, p if p is not None else g.r - 1)
     return SectionEp(alpha.degree, X, alpha)

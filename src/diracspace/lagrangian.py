@@ -44,7 +44,8 @@ def const(cls, ctx: Context, degree: int, coords):
 
 def coords(a: Form | MultiVec) -> list[Fraction]:
     """Coordinates of a constant Form or MultiVec, as ``const`` takes."""
-    return [a.comps.get(idx, Poly.zero(a.ctx)).constant_value()
+    comps, zero = a.comps, Poly.zero(a.ctx)
+    return [comps.get(idx, zero).constant_value()
             for idx in _tuples(a.ctx.dim, a.degree)]
 
 

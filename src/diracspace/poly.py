@@ -43,15 +43,26 @@ def _as_rat(c) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
+def _reduced(num: dict, den: int) -> tuple:
+    """(num, den) with the content ``gcd(den, *num.values())`` divided
+    out; ``num`` holds nonzero ints and ``den`` is positive."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {k: n // g for k, n in num.items()}, den // g
+    return num, den
+
+
 class _IntSum:
-    """The int-numerator store that `Poly` and `graded.GPoly` share.
+    """The int-numerator store that `Poly`, `graded.GPoly` and the
+    `calculus` forms and multivectors share.
 
     ``_num`` maps keys to nonzero `int` numerators and ``_den`` is the
     positive common denominator, with ``gcd(_den, *_num.values()) == 1``;
     zero is ``({}, 1)``.  A subclass supplies ``_check(other)``, which
-    refuses an operand of another context, and ``_like(num, den)``, which
-    builds a result of its own kind from a map of nonzero numerators over
-    a positive ``den`` and divides the content out.
+    raises `ValueError` on an operand of another class or context, and
+    ``_like(num, den)``, which builds a result of its own kind from a map
+    of nonzero numerators over a positive ``den`` through `_reduced`.
     """
 
     __slots__ = ("_num", "_den")
@@ -112,27 +123,6 @@ class _IntSum:
                           self._den * q)
 
 
-def _mul_into(num: dict, sign: int, fa, gb) -> None:
-    """Add sign * fa * gb into the numerator map ``num``; ``fa`` and
-    ``gb`` are (exponent tuple, numerator) pairs."""
-    add, get = int.__add__, num.get
-    for e1, c1 in fa:
-        c1 *= sign
-        for e2, c2 in gb:
-            e = tuple(map(add, e1, e2))
-            num[e] = get(e, 0) + c1 * c2
-
-
-def _d(terms, i: int) -> dict:
-    """The partial derivative d/dx_i of (exponent tuple, numerator)
-    pairs, as a numerator map; lowering one axis is injective on the
-    terms that have it, so each result term comes from exactly one input
-    term."""
-    j = i - 1
-    return {e[:j] + (e[j] - 1,) + e[j + 1:]: n * e[j]
-            for e, n in terms if e[j]}
-
-
 class Poly(_IntSum):
     """Polynomial in x1..xn with rational coefficients.
 
@@ -175,15 +165,9 @@ class Poly(_IntSum):
         """Trusted constructor for arithmetic results: ``num`` maps valid
         exponent tuples to nonzero ints and ``den`` is positive; the
         content is divided out here."""
-        if den != 1:
-            g = gcd(den, *num.values())
-            if g != 1:
-                num = {e: n // g for e, n in num.items()}
-                den //= g
         out = object.__new__(Poly)
         out.ctx = ctx
-        out._num = num
-        out._den = den
+        out._num, out._den = _reduced(num, den)
         return out
 
     @staticmethod
@@ -234,6 +218,8 @@ class Poly(_IntSum):
     # arises, so no result needs the public constructor's checks.
 
     def _check(self, other: "Poly"):
+        if not isinstance(other, Poly):
+            raise ValueError(f"expected a Poly, got a {type(other).__name__}")
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("context mismatch")
 
@@ -245,7 +231,12 @@ class Poly(_IntSum):
         if isinstance(other, Poly):
             self._check(other)
             num: dict = {}
-            _mul_into(num, 1, self._num.items(), other._num.items())
+            get = num.get
+            add = int.__add__
+            for e1, c1 in self._num.items():
+                for e2, c2 in other._num.items():
+                    e = tuple(map(add, e1, e2))
+                    num[e] = get(e, 0) + c1 * c2
             return Poly._collect(self.ctx, num, self._den * other._den)
         return self._scale(other)
 
@@ -263,7 +254,11 @@ class Poly(_IntSum):
         """Formal partial derivative with respect to x_i (1-based)."""
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"axis {i} out of range 1..{self.ctx.dim}")
-        return Poly._raw(self.ctx, _d(self._num.items(), i), self._den)
+        # lowering one axis is injective on the terms that have it
+        j = i - 1
+        return Poly._raw(self.ctx, {e[:j] + (e[j] - 1,) + e[j + 1:]: n * e[j]
+                                    for e, n in self._num.items() if e[j]},
+                         self._den)
 
     def divide_exact(self, f: "Poly"):
         """Exact polynomial division: return q with self = q*f, or None.

@@ -205,8 +205,8 @@ def hamiltonian_verify(P: Presentation, alpha: Form, X: VField) -> bool:
     """Is X a Hamiltonian vector field for alpha, i.e. X + d alpha in L?"""
     if not alpha.is_zero() and alpha.degree != P.p - 1:
         raise ValueError(f"alpha must have degree {P.p - 1}")
-    da = deRham(Form(P.ctx, P.p - 1, alpha.comps))
-    return P.member(SectionEp(P.p, X, da))
+    # SectionEp reads a zero d alpha of any degree as the zero p-form
+    return P.member(SectionEp(P.p, X, deRham(alpha)))
 
 
 def hamiltonian_solve(P: Presentation, alpha: Form):
@@ -227,28 +227,26 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
     ctx = P.ctx
     if not alpha.is_zero() and alpha.degree != P.p - 1:
         raise ValueError(f"alpha must have degree {P.p - 1}")
-    rhs_form = -deRham(Form(ctx, P.p - 1, alpha.comps))
+    terms = (-deRham(alpha)).terms
     idxs = [idx for idx in itertools.combinations(ctx.axes(), P.p)
             if idx not in P.conormal]
     # constant matrix of X |-> iota_X omega on the constrained components
+    const = (0,) * ctx.dim
     cols = []
     for j in P.S:
-        ij = contract(VField.basis(ctx, j), P.omega)
-        cols.append([ij.comps.get(idx, Poly.zero(ctx)).constant_value()
-                     for idx in idxs])
+        ij = contract(VField.basis(ctx, j), P.omega).terms
+        cols.append([ij.get((idx, const), Fraction(0)) for idx in idxs])
     rows = [[col[t] for col in cols] for t in range(len(idxs))]
-    monomials = sorted({e for idx in idxs
-                        for e in rhs_form.comps.get(idx, Poly.zero(ctx)).terms})
-    comps = {j: Poly.zero(ctx) for j in P.S}
+    monomials = sorted({e for idx, e in terms if idx not in P.conormal})
+    field: dict = {}
     for e in monomials:
-        rhs = [rhs_form.comps.get(idx, Poly.zero(ctx)).terms.get(e, Fraction(0))
-               for idx in idxs]
+        rhs = [terms.get((idx, e), Fraction(0)) for idx in idxs]
         sol = solve(rows, rhs) if rows else ([] if not any(rhs) else None)
         if sol is None:
             return None
         for j, c in zip(P.S, sol):
-            comps[j] = comps[j] + Poly(ctx, {e: c})
-    return VField(ctx, comps)
+            field.setdefault(j, {})[e] = c
+    return VField(ctx, {j: Poly(ctx, t) for j, t in field.items()})
 
 
 class HamiltonianDatum:
@@ -260,7 +258,8 @@ class HamiltonianDatum:
         if not hamiltonian_verify(P, alpha, X):
             raise ValueError("X + d alpha is not a member of the subbundle")
         self.P = P
-        self.alpha = Form._raw(P.ctx, P.p - 1, alpha.comps)
+        self.alpha = (alpha if alpha.degree == P.p - 1
+                      else Form.zero(P.ctx, P.p - 1))
         self.X = X
 
     @classmethod

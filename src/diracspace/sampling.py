@@ -109,11 +109,9 @@ def _symmetry_kernel(omega: Form, max_deg: int) -> tuple:
     ctx = omega.ctx
     gens = [VField(ctx, {i: Poly(ctx, {e: Fraction(1)})})
             for i in ctx.axes() for e in _exponents(ctx.dim, max_deg)]
-    images = [lie_derivative(X, omega) for X in gens]
-    keys = sorted({(idx, e) for im in images
-                   for idx, c in im.comps.items() for e in c.terms})
-    rows = [[im.comps.get(idx, Poly.zero(ctx)).terms.get(e, Fraction(0))
-             for im in images] for idx, e in keys]
+    images = [lie_derivative(X, omega).terms for X in gens]
+    keys = sorted({key for im in images for key in im})
+    rows = [[im.get(key, Fraction(0)) for im in images] for key in keys]
     ker = kernel_basis(rows, len(gens)) if rows else [
         [Fraction(int(i == j)) for j in range(len(gens))]
         for i in range(len(gens))]

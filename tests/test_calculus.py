@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -142,6 +143,24 @@ def test_form_zero_degree_matches_poly():
     assert a.to_poly() == f
 
 
+def test_constructor_checks_every_nonzero_component():
+    ctx = Context(2)
+    for kind in (Form, MultiVec):
+        # whatever the degree, a nonzero component must fit it
+        for degree, comps in ((3, {(1, 2, 3): 1}), (-1, {(1,): 1}),
+                              (3, {(1, 2): 1}), (2, {(2, 1): 1}),
+                              (1, {(0,): Fraction(1, 2)}),
+                              (1, {(1,): Poly.variable(Context(3), 1)})):
+            with pytest.raises(ValueError):
+                kind(ctx, degree, comps)
+        # an empty or all-zero map is the zero of any degree
+        for degree in (-1, 0, 2, 3):
+            for comps in (None, {}, {(1, 2, 3): 0, (1,): Poly.zero(ctx)}):
+                zero = kind(ctx, degree, comps)
+                assert zero.is_zero() and zero.degree == degree
+                assert zero == kind.zero(ctx, 0)
+
+
 def test_sort_sign_matches_brute_force():
     # every word of length n <= 5 over n letters: all permutations, and
     # words with repeated entries, under every parity mask of the letters
@@ -213,7 +232,10 @@ def test_mixed_kinds_are_refused():
     ctx = Context(3)
     dx1, dx2 = Form.basis(ctx, (1,)), Form.basis(ctx, (2,))
     Dx1, Dx2 = MultiVec.basis(ctx, (1,)), VField.basis(ctx, 2)
+    x1 = Poly.variable(ctx, 1)
     for mixed in (lambda: dx1 + Dx1, lambda: Dx1 - dx1, lambda: Dx2 + dx2,
+                  lambda: x1 + dx1, lambda: x1 - dx1, lambda: dx1 + x1,
+                  lambda: x1 + Dx2, lambda: Dx2 - x1,
                   lambda: wedge(dx1, Dx2), lambda: wedge(Dx1, dx2),
                   lambda: contract(dx1, wedge(dx1, dx2)),
                   lambda: contract(Dx1, wedge(Dx1, Dx2)),
@@ -316,6 +338,24 @@ def _assert_kernel_result(got, degree, want):
         assert not idx or 1 <= idx[0] and idx[-1] <= got.ctx.dim
         assert not c.is_zero()
         _assert_canonical(c)
+    # the flat store: nonzero int numerators over a content-free den,
+    # keyed by (index tuple, exponent tuple)
+    num, den = got._num, got._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n != 0 for n in num.values())
+    assert gcd(den, *num.values()) == 1
+    for idx, e in num:
+        assert type(idx) is tuple and len(idx) == degree
+        assert all(type(i) is int for i in idx)
+        assert all(a < b for a, b in zip(idx, idx[1:]))
+        assert not idx or 1 <= idx[0] and idx[-1] <= got.ctx.dim
+        assert type(e) is tuple and len(e) == got.ctx.dim
+        assert all(type(k) is int and k >= 0 for k in e)
+    if type(got) is VField:
+        rebuilt = VField(got.ctx, {i: c for (i,), c in got.comps.items()})
+    else:
+        rebuilt = type(got)(got.ctx, degree, got.comps)
+    assert rebuilt == got and str(rebuilt) == str(got)
 
 
 def test_kernels_match_per_poly_reference():

@@ -297,6 +297,16 @@ def test_public_constructor_refuses_bad_input():
             GPoly(2, ctx, terms)
 
 
+def test_gpoly_and_poly_do_not_mix():
+    # the int store is shared, but a sum of the two kinds is refused
+    x1, g = Poly.variable(ctx3, 1), s_poly(2, ctx3)
+    dx1 = Form.basis(ctx3, (1,))
+    for mixed in (lambda: x1 + g, lambda: g + x1, lambda: x1 - g,
+                  lambda: g - x1, lambda: g + dx1, lambda: dx1 + g):
+        with pytest.raises(ValueError):
+            mixed()
+
+
 class _RefGPoly:
     """Reference model: the GPoly arithmetic on Fraction terms keyed by
     (exponents, word), each word sorted with its Koszul sign when the
