@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 
-from .poly import Context, Poly, _IntSum, _reduced
+from .poly import Context, Poly, _IntSum, _as_rat, _reduced
 
 
 def _sort_sign(seq, odd=None):
@@ -129,6 +130,20 @@ class _Graded(_IntSum):
         return {idx: Poly._raw(self.ctx, num, self._den)
                 for idx, num in parts.items()}
 
+    def is_constant(self) -> bool:
+        return not any(any(e) for _, e in self._num)
+
+    def as_degree(self, k: int, what: str):
+        """This value as one of degree ``k``: itself when its degree is
+        ``k``, and the zero of degree ``k`` of its kind (Form or MultiVec)
+        when it is zero; any other value raises ValueError naming
+        ``what``."""
+        if self.degree == k:
+            return self
+        if not self._num:
+            return _kind(self).zero(self.ctx, k)
+        raise ValueError(f"{what} has degree {self.degree}, expected {k}")
+
     def _part(self, idx: tuple) -> Poly:
         """The coefficient of the basis element ``idx``."""
         return Poly._raw(self.ctx, {e: n for (i, e), n in self._num.items()
@@ -203,9 +218,7 @@ class Form(_Graded):
         return Form(f.ctx, 0, {(): f})
 
     def to_poly(self) -> Poly:
-        if self.degree != 0 and not self.is_zero():
-            raise ValueError("not a 0-form")
-        return self._part(())
+        return self.as_degree(0, "form")._part(())
 
 
 class MultiVec(_Graded):
@@ -214,8 +227,7 @@ class MultiVec(_Graded):
     _prefix = "Dx"
 
     def to_vfield(self) -> "VField":
-        if self.degree != 1 and not self.is_zero():
-            raise ValueError("not a 1-vector")
+        self.as_degree(1, "multivector")
         return VField._raw(self.ctx, 1, self._num, self._den)
 
 
@@ -246,6 +258,33 @@ class VField(MultiVec):
         for (i,), c in self.comps.items():
             out = out + c * f.partial(i)
         return out
+
+
+# ---------------------------------------------------------------------
+# constant coordinates: one per increasing index tuple, in
+# `itertools.combinations` order
+
+
+def const(cls: type, ctx: Context, degree: int, coords):
+    """The constant ``cls`` (Form, MultiVec or VField) of ``degree`` with
+    these int or Fraction coordinates."""
+    zero = (0,) * ctx.dim
+    pairs = [(idx, _as_rat(c)) for idx, c in
+             zip(combinations(ctx.axes(), degree), coords)]
+    den = lcm(*[c.denominator for _, c in pairs])
+    return cls._raw(ctx, degree, {(idx, zero): c.numerator
+                                  * (den // c.denominator)
+                                  for idx, c in pairs if c}, den)
+
+
+def coords(a: _Graded) -> list[Fraction]:
+    """Coordinates of a constant Form or MultiVec, as ``const`` takes."""
+    if not a.is_constant():
+        raise ValueError(f"coordinates of a non-constant "
+                         f"{type(a).__name__}")
+    zero, num, den = (0,) * a.ctx.dim, a._num, a._den
+    return [Fraction(num.get((idx, zero), 0), den)
+            for idx in combinations(a.ctx.axes(), a.degree)]
 
 
 # ---------------------------------------------------------------------

@@ -224,8 +224,7 @@ def _constant_subspace(P):
     coefficients, else None."""
     elems = []
     for e in P.generators():
-        polys = list(e.X.comps.values()) + list(e.alpha.comps.values())
-        if not all(c.is_constant() for c in polys):
+        if not (e.X.is_constant() and e.alpha.is_constant()):
             return None
         elems.append((e.X, e.alpha))
     return LinSubspace.from_elements(P.n, P.p, elems)
@@ -257,9 +256,8 @@ def cmd_check_morphism(args) -> int:
     rng = random.Random(args.seed)
     ctx = _context(args.dim)
     with _reading_input():
-        sigma = _parse_flag(args.sigma, ctx, Form, "--sigma")
-    sigma = Form.zero(ctx, 2) if sigma.is_zero() else sigma
-    _require(sigma.degree == 2, "--sigma must be a 2-form")
+        sigma = _parse_flag(args.sigma, ctx, Form,
+                            "--sigma").as_degree(2, "--sigma")
 
     def rand_e0():
         return SectionEp(0, random_vfield(rng, ctx, max_deg=1),

@@ -28,13 +28,12 @@ class SectionEp:
     __slots__ = ("p", "X", "alpha")
 
     def __init__(self, p: int, X: VField, alpha: Form):
-        if not alpha.is_zero() and alpha.degree != p:
-            raise ValueError(f"form part has degree {alpha.degree}, expected {p}")
+        alpha = alpha.as_degree(p, "form part")
         if X.ctx != alpha.ctx:
             raise ValueError("context mismatch")
         self.p = p
         self.X = X
-        self.alpha = alpha if alpha.degree == p else Form.zero(alpha.ctx, p)
+        self.alpha = alpha
 
     @property
     def ctx(self) -> Context:
@@ -104,8 +103,7 @@ def dorfman(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
     e1._check(e2)
     form = lie_derivative(e1.X, e2.alpha) - contract(e2.X, deRham(e1.alpha))
     if H is not None:
-        if not H.is_zero() and H.degree != e1.p + 2:
-            raise ValueError(f"twist must have degree {e1.p + 2}")
+        H = H.as_degree(e1.p + 2, "twist")
         form = form + contract(e2.X, contract(e1.X, H))
     return SectionEp(e1.p, lie_bracket(e1.X, e2.X), form)
 
@@ -120,8 +118,7 @@ def courant(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
 def gauge(e: SectionEp, B: Form) -> SectionEp:
     """Gauge transformation e^B: X+alpha -> X+alpha+iota_X B; its inverse
     e^{-B} is gauge(e, -B)."""
-    if not B.is_zero() and B.degree != e.p + 1:
-        raise ValueError(f"gauge form must have degree {e.p + 1}")
+    B = B.as_degree(e.p + 1, "gauge form")
     return SectionEp(e.p, e.X, e.alpha + contract(e.X, B))
 
 
@@ -145,15 +142,10 @@ class SectionPr:
     def __init__(self, p: int, r: int, Y: MultiVec, eta: Form):
         if not 1 <= r <= p:
             raise ValueError(f"tier {r} out of range 1..{p}")
-        if not Y.is_zero() and Y.degree != r:
-            raise ValueError(f"multivector degree {Y.degree}, expected {r}")
-        if not eta.is_zero() and eta.degree != p + 1 - r:
-            raise ValueError(f"form degree {eta.degree}, expected {p + 1 - r}")
         self.p = p
         self.r = r
-        self.Y = Y if Y.degree == r else MultiVec.zero(Y.ctx, r)
-        self.eta = (eta if eta.degree == p + 1 - r
-                    else Form.zero(eta.ctx, p + 1 - r))
+        self.Y = Y.as_degree(r, "multivector part")
+        self.eta = eta.as_degree(p + 1 - r, "form part")
 
     @property
     def ctx(self) -> Context:
@@ -201,12 +193,17 @@ def multi_pairing(a: SectionPr, b: SectionPr) -> Form:
 
 
 def mv_lie_derivative(Y: MultiVec, eta: Form) -> Form:
-    """Multivector Lie derivative L_Y = iota_Y d + (-1)^{r+1} d iota_Y.
+    """Multivector Lie derivative L_Y = iota_Y d + (-1)^{r+1} d iota_Y,
+    the graded commutator [iota_Y, d] for Y of degree r.
 
-    For r = 1 this is the Cartan formula.  The sign on the d iota_Y term is
-    pinned by the requirement L_Y(f alpha) = iota_Y(df ^ alpha) whenever
-    alpha is closed and iota_Y alpha = 0, which is how the tier bracket acts
-    on the conormal part of a split Lagrangian.
+    For r = 1 this is the Cartan formula.  Contraction takes the first
+    wedge factor first, iota_{P^Z} = iota_Z iota_P for a vector field Z,
+    so L_{P^Z} = iota_Z L_P + (-1)^q L_Z iota_P for P of degree q; at
+    q = 1 the right side is Cartan's alone, and that pins the sign of the
+    d iota_Y term in even degree.  The tier bracket's conormal property
+    L_Y(f alpha) = iota_Y(df ^ alpha), for closed alpha with
+    iota_Y alpha = 0, does not: there iota_Y(f alpha) = f iota_Y alpha
+    = 0, so the d iota_Y term vanishes for either sign.
     """
     sgn = 1 if Y.degree % 2 else -1
     return contract(Y, deRham(eta)) + sgn * deRham(contract(Y, eta))

@@ -16,10 +16,11 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from .calculus import Form, MultiVec, VField, contract, wedge
+from .calculus import (Form, MultiVec, VField, const, contract, coords,
+                       wedge)
 from .courant import SectionPr, multi_pairing
 from .linalg import kernel_basis, solve, span_basis, span_equal
-from .poly import Context, Poly, _as_rat
+from .poly import Context, _as_rat
 
 
 def _tuples(n: int, k: int):
@@ -30,23 +31,7 @@ def _tuples(n: int, k: int):
 
 
 def const_vfield(ctx: Context, vec) -> VField:
-    return VField(ctx, {i: Poly.constant(ctx, vec[i - 1])
-                        for i in ctx.axes()})
-
-
-def const(cls, ctx: Context, degree: int, coords):
-    """The constant ``cls`` (Form or MultiVec) with these coordinates."""
-    return cls(ctx, degree, {
-        idx: Poly.constant(ctx, c)
-        for idx, c in zip(_tuples(ctx.dim, degree), coords)
-    })
-
-
-def coords(a: Form | MultiVec) -> list[Fraction]:
-    """Coordinates of a constant Form or MultiVec, as ``const`` takes."""
-    comps, zero = a.comps, Poly.zero(a.ctx)
-    return [comps.get(idx, zero).constant_value()
-            for idx in _tuples(a.ctx.dim, a.degree)]
+    return const(VField, ctx, 1, vec)
 
 
 def form_eval(a: Form, vecs) -> Fraction:
@@ -54,7 +39,7 @@ def form_eval(a: Form, vecs) -> Fraction:
     out = a
     for v in vecs:
         out = contract(const_vfield(a.ctx, v), out)
-    return out.comps.get((), Poly.zero(a.ctx)).constant_value()
+    return coords(out.as_degree(0, "the evaluated form"))[0]
 
 
 def wedges(cls, ctx: Context, rows, k: int) -> list:
@@ -62,7 +47,7 @@ def wedges(cls, ctx: Context, rows, k: int) -> list:
     ones = [const(cls, ctx, 1, row) for row in rows]
     out = []
     for combo in itertools.combinations(ones, k):
-        w = cls(ctx, 0, {(): Poly.constant(ctx, 1)})
+        w = const(cls, ctx, 0, [1])
         for f in combo:
             w = wedge(w, f)
         out.append(w)
@@ -232,9 +217,7 @@ class LagrangianPair:
         for (i, j), f in Omega.items():
             if not 0 <= i < j < k:
                 raise ValueError(f"bad basis pair ({i},{j}) for dim S = {k}")
-            if not f.is_zero():
-                if f.degree != p - 1:
-                    raise ValueError("Omega values must be (p-1)-forms")
+            if not f.as_degree(p - 1, "an Omega value").is_zero():
                 clean[(i, j)] = f
         self.Omega = clean
 
@@ -332,12 +315,8 @@ def extend_to_form(n: int, p: int, S, betas) -> Form:
     S = span_basis([[_as_rat(x) for x in row] for row in S])
     if len(S) != len(betas):
         raise ValueError("one beta per S basis vector required")
-    for b in betas:
-        if not b.is_zero() and b.degree != p:
-            raise ValueError("beta values must be p-forms")
+    rhs = [c for b in betas for c in coords(b.as_degree(p, "a beta value"))]
     rows = _contraction_rows(n, p + 1, S)
-    rhs = [c for b in betas
-           for c in coords(b if b.degree == p else Form.zero(ctx, p))]
     units = [Form.basis(ctx, idx) for idx in _tuples(n, p + 1)]
     for vecs in itertools.combinations(annihilator(n, S), p + 1):
         rows.append([form_eval(u, vecs) for u in units])
@@ -376,10 +355,7 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}; a zero
     omega of any degree is the zero (p+1)-form, giving S + /\\^p S°."""
     ctx = Context(n)
-    if omega.is_zero():
-        omega = Form.zero(ctx, p + 1)
-    elif omega.degree != p + 1:
-        raise ValueError("omega must be a (p+1)-form")
+    omega = omega.as_degree(p + 1, "omega")
     S = span_basis([[_as_rat(x) for x in row] for row in S])
     k = len(S)
     if not (k <= n - p or k == n):

@@ -142,9 +142,7 @@ class MultibracketFamily:
     def form(self, degree: int, xi: Form) -> GradedElem:
         if not -self.depth <= degree < 0:
             raise ValueError(f"degree {degree} out of range")
-        if not xi.is_zero() and xi.degree != self.depth + degree:
-            raise ValueError("form degree does not match complex degree")
-        return self._clamp(degree, xi)
+        return self._clamp(degree, xi.as_degree(self.depth + degree, "form"))
 
     def l(self, args: list[GradedElem]) -> GradedElem:
         if any(a.is_zero() for a in args):
@@ -258,10 +256,7 @@ class TwistedSectionsFamily(MultibracketFamily):
         self.ctx = ctx
         self.depth = r - 1
         self.max_arity = r + 1
-        if H is None:
-            H = Form.zero(ctx, r + 1)
-        if not H.is_zero() and H.degree != r + 1:
-            raise ValueError(f"twist must have degree {r + 1}")
+        H = Form.zero(ctx, r + 1) if H is None else H.as_degree(r + 1, "twist")
         if not allow_nonclosed and not deRham(H).is_zero():
             raise ValueError("twist is not closed (pass allow_nonclosed "
                              "to experiment anyway)")
@@ -372,6 +367,13 @@ def morphism_residual(src: MultibracketFamily, dst: MultibracketFamily,
     u = sum_s (t-1-s + |v in blocks before s|)(k_s - 1), s 0-based.
     A strict morphism is {1: phi}: the residual is phi l_n - l'_n phi.
     Every term is multilinear in all of the v, so a zero v gives zero.
+
+    Between the two families here the factor (-1)^u is always 1.  phi_k
+    for k >= 2 has degree 1 - k < 0, and the brackets of arity >= 2 of
+    both families vanish on two arguments of negative degree.  So a
+    nonzero term has at most one block of size >= 2; that block sorts
+    last, after singletons of degree 0, and u = 0.  Only a target family
+    whose brackets take two lower arguments can test the sign.
     """
     if any(e.is_zero() for e in elems):
         return GradedElem.zero()

@@ -80,10 +80,9 @@ def tokenize(src: str):
 class _Terms:
     """Sum of coefficient * dx-word * Dx-word, sign-normalized."""
 
-    def __init__(self, ctx: Context, terms=None, warnings=None):
+    def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
         self.terms = terms if terms is not None else {}
-        self.warnings = warnings if warnings is not None else []
 
     @staticmethod
     def scalar(ctx: Context, p: Poly) -> "_Terms":
@@ -111,16 +110,15 @@ class _Terms:
         for k, c in other.terms.items():
             self._put(out, k, c)
         return _Terms(self.ctx, {k: c for k, c in out.items()
-                                 if not c.is_zero()},
-                      self.warnings + other.warnings)
+                                 if not c.is_zero()})
 
     def __neg__(self) -> "_Terms":
-        return _Terms(self.ctx, {k: -c for k, c in self.terms.items()},
-                      list(self.warnings))
+        return _Terms(self.ctx, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, other: "_Terms") -> "_Terms":
+    def times(self, other: "_Terms", warnings: list) -> "_Terms":
+        """The product; each pair of terms that repeats a factor is
+        dropped with a line appended to ``warnings``."""
         out: dict = {}
-        warnings = self.warnings + other.warnings
         for (fa, va), ca in self.terms.items():
             for (fb, vb), cb in other.terms.items():
                 sf, f = _sort_sign(fa + fb)
@@ -134,7 +132,7 @@ class _Terms:
                     continue
                 self._put(out, (f, v), (sf * sv) * (ca * cb))
         return _Terms(self.ctx, {k: c for k, c in out.items()
-                                 if not c.is_zero()}, warnings)
+                                 if not c.is_zero()})
 
 
 class _Parser:
@@ -144,6 +142,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.pairs = 0   # term pairs multiplied out so far
+        self.warnings = []   # one line per dropped pair of terms
 
     def peek(self):
         return self.tokens[self.pos]
@@ -168,7 +167,7 @@ class _Parser:
         if self.pairs > MAX_PARSE_TERMS:
             raise ParseError(f"products multiply out more than "
                              f"{MAX_PARSE_TERMS} pairs of terms", line, col)
-        return a * b
+        return a.times(b, self.warnings)
 
     def descend(self):
         """Enter one more level of nesting at the current token."""
@@ -273,7 +272,8 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
     content; a mix of degree-1 field terms and degree-p form terms with
     ``p`` supplied yields a SectionEp.
     """
-    t = _Parser(src, ctx).parse()
+    parser = _Parser(src, ctx)
+    t = parser.parse()
     form_terms = {k: c for k, c in t.terms.items() if k[0]}
     field_terms = {k: c for k, c in t.terms.items() if k[1]}
     scalar = t.terms.get(((), ()), Poly.zero(ctx))
@@ -293,11 +293,11 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
         mv = None
     if p is None:
         if mv is not None and form is None and scalar.is_zero():
-            return (mv.to_vfield() if vdeg == 1 else mv), t.warnings
+            return (mv.to_vfield() if vdeg == 1 else mv), parser.warnings
         if mv is None and form is not None and scalar.is_zero():
-            return form, t.warnings
+            return form, parser.warnings
         if mv is None and form is None:
-            return Poly(ctx, scalar.terms), t.warnings
+            return Poly(ctx, scalar.terms), parser.warnings
         raise ParseError("supply the order p to read X + alpha sections",
                          1, 1)
     # a section X + alpha of order p (the 0-form part is alpha when p == 0)
@@ -314,5 +314,5 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
     if form.degree != p:
         raise ParseError(f"form part has degree {form.degree}, "
                          f"expected {p}", 1, 1)
-    return SectionEp(p, X, form), t.warnings
+    return SectionEp(p, X, form), parser.warnings
 

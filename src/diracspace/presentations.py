@@ -78,13 +78,10 @@ class GraphMultivector(Presentation):
 
     def __init__(self, n: int, p: int, pi: MultiVec):
         super().__init__(n, p)
-        if not pi.is_zero():
-            if pi.degree != p + 1:
-                raise ValueError(f"pi must have degree {p + 1}")
-            if p + 1 not in (2, n):
-                raise ValueError(
-                    "multivector graphs require degree 2 or top degree")
-        self.pi = pi
+        self.pi = pi.as_degree(p + 1, "pi")
+        if not pi.is_zero() and p + 1 not in (2, n):
+            raise ValueError(
+                "multivector graphs require degree 2 or top degree")
 
     def generators(self) -> list[SectionEp]:
         out = []
@@ -113,9 +110,7 @@ class Regular(Presentation):
         k = len(self.S)
         if not (k <= n - p or k == n):
             raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
-        if not omega.is_zero() and omega.degree != p + 1:
-            raise ValueError(f"omega must have degree {p + 1}")
-        self.omega = omega
+        self.omega = omega.as_degree(p + 1, "omega")
         rest = [i for i in self.ctx.axes() if i not in self.S]
         self.conormal = tuple(itertools.combinations(rest, p))
 
@@ -169,10 +164,8 @@ class ScaledTop(Presentation):
         super().__init__(n, n - 1)
         if f.is_zero():
             raise ValueError("scaling function must be nonzero")
-        if not Omega.is_zero() and Omega.degree != n:
-            raise ValueError("Omega must be a top form")
         self.f = f
-        self.Omega = Omega
+        self.Omega = Omega.as_degree(n, "Omega")
 
     def generators(self) -> list[SectionEp]:
         out = []
@@ -203,9 +196,7 @@ class NotHamiltonian(ValueError):
 
 def hamiltonian_verify(P: Presentation, alpha: Form, X: VField) -> bool:
     """Is X a Hamiltonian vector field for alpha, i.e. X + d alpha in L?"""
-    if not alpha.is_zero() and alpha.degree != P.p - 1:
-        raise ValueError(f"alpha must have degree {P.p - 1}")
-    # SectionEp reads a zero d alpha of any degree as the zero p-form
+    alpha = alpha.as_degree(P.p - 1, "alpha")
     return P.member(SectionEp(P.p, X, deRham(alpha)))
 
 
@@ -221,12 +212,11 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
     if not isinstance(P, Regular):
         raise ValueError("solving requires a form-graph or regular "
                          "presentation; use hamiltonian_verify instead")
-    if any(not c.is_constant() for c in P.omega.comps.values()):
+    if not P.omega.is_constant():
         raise ValueError("verification-only mode for non-constant "
                          "coefficients; supply the vector field")
     ctx = P.ctx
-    if not alpha.is_zero() and alpha.degree != P.p - 1:
-        raise ValueError(f"alpha must have degree {P.p - 1}")
+    alpha = alpha.as_degree(P.p - 1, "alpha")
     terms = (-deRham(alpha)).terms
     idxs = [idx for idx in itertools.combinations(ctx.axes(), P.p)
             if idx not in P.conormal]
@@ -255,11 +245,11 @@ class HamiltonianDatum:
     __slots__ = ("P", "alpha", "X")
 
     def __init__(self, P: Presentation, alpha: Form, X: VField):
+        alpha = alpha.as_degree(P.p - 1, "alpha")
         if not hamiltonian_verify(P, alpha, X):
             raise ValueError("X + d alpha is not a member of the subbundle")
         self.P = P
-        self.alpha = (alpha if alpha.degree == P.p - 1
-                      else Form.zero(P.ctx, P.p - 1))
+        self.alpha = alpha
         self.X = X
 
     @classmethod

@@ -112,9 +112,7 @@ def _symmetry_kernel(omega: Form, max_deg: int) -> tuple:
     images = [lie_derivative(X, omega).terms for X in gens]
     keys = sorted({key for im in images for key in im})
     rows = [[im.get(key, Fraction(0)) for im in images] for key in keys]
-    ker = kernel_basis(rows, len(gens)) if rows else [
-        [Fraction(int(i == j)) for j in range(len(gens))]
-        for i in range(len(gens))]
+    ker = kernel_basis(rows, len(gens))
     return tuple(gens), tuple(tuple(v) for v in ker)
 
 
@@ -132,7 +130,7 @@ def random_observables_elem(rng: random.Random, F, max_deg: int = 1):
         k = rng.randrange(1, P.p)
         return F.form(-k, random_form(rng, P.ctx, P.p - 1 - k,
                                       max_deg=max_deg))
-    if all(c.is_constant() for c in P.omega.comps.values()):
+    if P.omega.is_constant():
         try:
             return F.element(random_form(rng, P.ctx, P.p - 1,
                                          max_deg=max_deg))

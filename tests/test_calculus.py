@@ -7,7 +7,8 @@ import pytest
 
 from diracspace.poly import Context, Poly
 from diracspace.calculus import (Form, MultiVec, VField, _contract_idx,
-                                 _sort_sign, contract, deRham, iota_form, lie_bracket,
+                                 _sort_sign, const, contract, coords,
+                                 deRham, iota_form, lie_bracket,
                                  lie_derivative, lie_derivative_direct,
                                  poincare_primitive, schouten, wedge)
 from diracspace.sampling import (random_closed_form, random_form,
@@ -472,3 +473,35 @@ def test_poincare_primitive_matches_per_term_reference():
                     want = _ref_poincare_primitive(a)
                     assert got == want and str(got) == str(want), a
                     _assert_kernel_result(got, k - 1, want.comps)
+
+
+def test_as_degree_keeps_a_value_or_moves_a_zero():
+    ctx = Context(3)
+    w = random_form(rng, ctx, 2)
+    assert w.as_degree(2, "w") is w
+    with pytest.raises(ValueError, match="^w has degree 2, expected 1$"):
+        w.as_degree(1, "w")
+    # a zero of any degree is the zero of the asked degree, of its kind
+    for zero, kind in ((Form.zero(ctx, 5), Form),
+                       (MultiVec.zero(ctx, 0), MultiVec),
+                       (VField.zero(ctx), MultiVec)):
+        got = zero.as_degree(2, "zero")
+        assert type(got) is kind and got.degree == 2 and got.is_zero()
+    assert type(VField.zero(ctx).as_degree(1, "X")) is VField
+
+
+def test_constant_coordinates_round_trip():
+    ctx = Context(4)
+    for cls in (Form, MultiVec):
+        for k in range(5):
+            vals = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in itertools.combinations(ctx.axes(), k)]
+            a = const(cls, ctx, k, vals)
+            assert a == cls(ctx, k, dict(zip(
+                itertools.combinations(ctx.axes(), k), vals)))
+            assert a.is_constant() and coords(a) == vals
+    x1 = Poly.variable(ctx, 1)
+    bent = Form(ctx, 1, {(2,): x1 + Poly.constant(ctx, 1)})
+    assert not bent.is_constant()
+    with pytest.raises(ValueError):
+        coords(bent)

@@ -8,10 +8,10 @@ from diracspace.calculus import (Form, MultiVec, contract, deRham,
                                  wedge)
 from diracspace.courant import (SectionEp, SectionPr, courant, dorfman,
                                 gauge, multi_bracket, multi_pairing,
-                                pairing, scale)
+                                mv_lie_derivative, pairing, scale)
 from diracspace.sampling import (random_closed_form, random_form,
-                                 random_poly, random_rational,
-                                 random_vfield)
+                                 random_multivec, random_poly,
+                                 random_rational, random_vfield)
 
 rng = random.Random(404)
 
@@ -212,3 +212,23 @@ def test_twisted_tier11_matches_courant_with_twist():
         assert got.X == untwisted.X
         assert got.alpha == untwisted.alpha \
             + contract(e2.X, contract(e1.X, H))
+
+
+def test_mv_lie_derivative_of_a_wedge_with_a_field():
+    """iota_{P^Z} = iota_Z iota_P for a field Z, so the graded commutator
+    L_Y = [iota_Y, d] gives L_{P^Z} = iota_Z L_P + (-1)^q L_Z iota_P for
+    P of degree q.  At q = 1 the right side is Cartan's alone, which
+    pins the sign of the d iota_Y term in even degree."""
+    local = random.Random(1717)
+    ctx = Context(3)
+    for trial in range(80):
+        q = 1 if trial < 60 else 2
+        P = (random_vfield(local, ctx) if q == 1
+             else random_multivec(local, ctx, q))
+        Z = random_vfield(local, ctx)
+        eta = random_form(local, ctx, local.randint(0, 3))
+        lp = (lie_derivative(P, eta) if q == 1
+              else mv_lie_derivative(P, eta))
+        want = (contract(Z, lp)
+                + (-1) ** q * lie_derivative(Z, contract(P, eta)))
+        assert mv_lie_derivative(wedge(P, Z), eta) == want

@@ -81,6 +81,21 @@ def test_nilpotent_square_warns_and_normalizes():
     assert warnings and "dx1" in warnings[0]
 
 
+def test_dropped_factor_warns_once_per_product():
+    # the power multiplies its base in k times; the base's own dropped
+    # pair is reported once, whatever k is
+    ctx = Context(3)
+    once = ["repeated factor normalizes to zero: dx1^dx1"]
+    for src, value in (("(dx1^dx1 + x1)^3", Poly.variable(ctx, 1) ** 3),
+                       ("(dx1^dx1)^0", Poly.constant(ctx, 1)),
+                       ("(dx1^dx1)^2", Poly.zero(ctx))):
+        assert parse_expression(src, ctx) == (value, once)
+    v, warnings = parse_expression("(Dx2*Dx2 + 1)*(dx1^dx1 + 1)", ctx)
+    assert v == Poly.constant(ctx, 1)
+    assert warnings == ["repeated factor normalizes to zero: Dx2^Dx2",
+                        "repeated factor normalizes to zero: dx1^dx1"]
+
+
 def test_wedge_antisymmetry_cancellation():
     ctx = Context(3)
     v, _ = parse_expression("dx2^dx1 + dx1^dx2", ctx)
