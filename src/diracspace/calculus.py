@@ -267,10 +267,14 @@ class VField(MultiVec):
 
 def const(cls: type, ctx: Context, degree: int, coords):
     """The constant ``cls`` (Form, MultiVec or VField) of ``degree`` with
-    these int or Fraction coordinates."""
+    these int or Fraction coordinates, exactly one per component."""
     zero = (0,) * ctx.dim
-    pairs = [(idx, _as_rat(c)) for idx, c in
-             zip(combinations(ctx.axes(), degree), coords)]
+    idxs, coords = list(combinations(ctx.axes(), degree)), list(coords)
+    if len(coords) != len(idxs):
+        raise ValueError(f"{len(coords)} coordinates for the {len(idxs)} "
+                         f"components of degree {degree} in dimension "
+                         f"{ctx.dim}")
+    pairs = [(idx, _as_rat(c)) for idx, c in zip(idxs, coords)]
     den = lcm(*[c.denominator for _, c in pairs])
     return cls._raw(ctx, degree, {(idx, zero): c.numerator
                                   * (den // c.denominator)

@@ -130,9 +130,11 @@ class MultibracketFamily:
     """Base: graded-symmetric multibrackets l_n of degree 2-n on
     (depth - k)-forms in degree -k < 0 over a family's degree-0 part.
 
-    The base owns that complex, l_1 = d and the zero-argument rule; a
-    family defines ``_bracket(args)`` for arity >= 2 on nonzero
-    arguments, and ``_exact(d)``, the degree-0 element of the exact
+    The base owns that complex, l_1 = d, the zero-argument rule and the
+    part of the degree rule `vanishes` that every family shares; a
+    family adds its own part to `vanishes`, and defines
+    ``_bracket(args)`` for arity >= 2 on nonzero arguments that the rule
+    lets through, and ``_exact(d)``, the degree-0 element of the exact
     form d = l_1 of a degree -1 element.
     """
 
@@ -144,14 +146,22 @@ class MultibracketFamily:
             raise ValueError(f"degree {degree} out of range")
         return self._clamp(degree, xi.as_degree(self.depth + degree, "form"))
 
+    def vanishes(self, degrees) -> bool:
+        """Whether l on arguments of these degrees is zero by degree
+        alone: here, when the arity n is above ``max_arity`` or the
+        output degree sum + 2 - n lies outside [-depth, 0] (so l_1 on
+        degree 0); each family adds its own rule."""
+        n = len(degrees)
+        out = sum(degrees) + 2 - n
+        return n > self.max_arity or not -self.depth <= out <= 0
+
     def l(self, args: list[GradedElem]) -> GradedElem:
-        if any(a.is_zero() for a in args):
+        if (any(a.is_zero() for a in args)
+                or self.vanishes([a.degree for a in args])):
             return GradedElem.zero()
         if len(args) > 1:
             return self._bracket(args)
         a = args[0]
-        if a.degree == 0:
-            return GradedElem.zero()
         d = deRham(a.payload)
         if a.degree == -1:
             return self._clamp(0, self._exact(d))
@@ -163,11 +173,14 @@ class MultibracketFamily:
         return GradedElem(degree, payload)
 
 
-def _composites(F: MultibracketFamily, outer, elems) -> GradedElem:
+def _composites(F: MultibracketFamily, outer, elems,
+                outer_vanishes=None) -> GradedElem:
     """sum_{i+j=n+1} sum_{sigma in Sh(i, n-i)} chi(sigma) (-1)^{i(j-1)}
     outer[j](l_i(v_sigma(1..i)), v_sigma(i+1..n)); ``outer[j]`` takes a
     list of j elements.  Arities i above ``F.max_arity`` and j not in
-    ``outer`` are skipped before l_i is taken."""
+    ``outer`` are skipped before l_i is taken, and so is every term whose
+    inner degrees ``F.vanishes``, or whose outer degrees (the inner
+    output degree, then the rest) ``outer_vanishes``, when given."""
     n = len(elems)
     degrees = [e.degree if e.degree is not None else 0 for e in elems]
     total = GradedElem.zero()
@@ -177,6 +190,11 @@ def _composites(F: MultibracketFamily, outer, elems) -> GradedElem:
             continue
         outer_sign = -1 if (i * (j - 1)) % 2 else 1
         for sigma in unshuffles(i, n):
+            inner_degs = [degrees[k] for k in sigma[:i]]
+            if F.vanishes(inner_degs) or outer_vanishes and outer_vanishes(
+                    [sum(inner_degs) + 2 - i]
+                    + [degrees[k] for k in sigma[i:]]):
+                continue
             inner = F.l([elems[k] for k in sigma[:i]])
             if inner.is_zero():
                 continue
@@ -188,7 +206,8 @@ def _composites(F: MultibracketFamily, outer, elems) -> GradedElem:
 
 def check_relation(F: MultibracketFamily, elems: list[GradedElem]) -> GradedElem:
     """Residual of the n-th homotopy Jacobi relation on the given tuple."""
-    return _composites(F, {j: F.l for j in range(1, F.max_arity + 1)}, elems)
+    return _composites(F, {j: F.l for j in range(1, F.max_arity + 1)}, elems,
+                       F.vanishes)
 
 
 class ObservablesFamily(MultibracketFamily):
@@ -197,7 +216,8 @@ class ObservablesFamily(MultibracketFamily):
     Degree 0: Hamiltonian (p-1)-forms with a chosen vector field;
     degree -k (0 < k < p): (p-1-k)-forms.  l_1 = d below degree 0,
     l_k(a_1,...,a_k) = eps(k) iota_{X_k} ... iota_{X_3} {a_1, a_2}
-    on degree-0 tuples, eps(2), eps(3), ... = 1, -1, -1, 1, 1, -1, ...
+    on degree-0 tuples, eps(2), eps(3), ... = 1, -1, -1, 1, 1, -1, ...,
+    and l_k = 0 for k >= 2 on a tuple with a lower form.
     """
 
     def __init__(self, P: Presentation):
@@ -215,9 +235,12 @@ class ObservablesFamily(MultibracketFamily):
     def _exact(self, d: Form) -> HamiltonianDatum:
         return HamiltonianDatum(self.P, d, VField.zero(self.P.ctx))
 
+    def vanishes(self, degrees) -> bool:
+        """The shared rule, and any lower-form argument at arity >= 2."""
+        return (super().vanishes(degrees)
+                or len(degrees) > 1 and min(degrees) < 0)
+
     def _bracket(self, args: list[GradedElem]) -> GradedElem:
-        if any(a.degree < 0 for a in args):
-            return GradedElem.zero()
         data = [a.payload for a in args]
         br = ham_bracket(data[0], data[1])
         if len(data) == 2:
@@ -234,18 +257,27 @@ class TwistedSectionsFamily(MultibracketFamily):
 
     Degree 0: sections; degree -k (0 < k < r): (r-1-k)-forms.  l_1 = d
     below degree 0; l_2 is the H-twisted Courant bracket on two sections
-    and half a Lie derivative on a section and a form; the trinary and
-    higher odd brackets are built from
+    and half a Lie derivative on a section and a form.  For odd
+    n = k + 1 >= 3 the form bracket is, in closed form,
+
+      [xi, X_0, ..., X_{k-1}] = c_n (C(k,2) (2 + f) i_all d xi
+          + 3/2 (k-1) sum_m (-1)^m i_{all - m} d i_m xi
+          + sum_{i<j} (-1)^{i+j} i_{all - {i,j}} d i_{X_i} i_{X_j} xi),
+
+    c_n = -2 B_{n-1} eps(n) / ((n-1)(n-2)), where i_S contracts the
+    fields of S in increasing order, and f = 1 when xi is the form part
+    of a section (degree r-1) and f = 0 on the lower forms.  It is
+    Cartan's formula applied to -6 c_n sum_{i<j} (-1)^{i+j} i_{all - {i,j}}
+    of the ternary bracket
 
       [xi, X1, X2] = -1/6 (1/2 (i_{X1} L_{X2} - i_{X2} L_{X1})
-                           + i_{[X1,X2]} (+ i_{X1} i_{X2} d)) xi
+                           + i_{[X1,X2]} (+ f i_{X1} i_{X2} d)) xi,
 
-    where the i_{X1} i_{X2} d term is present when xi is the form part
-    of a section (degree r-1) and absent on the lower forms; on sections
-    the n-ary bracket adds a multiple of i_{X_n} ... i_{X_1} H.  At
-    n = 3 on three sections this is -1/6 sum_cyc <[[e_i, e_j]]_H, e_k>,
-    which `tests/test_linfty.py` keeps as the reference.  Even arities
-    >= 4 vanish (odd Bernoulli numbers are zero).
+    which `tests/test_linfty.py` keeps as the reference.  On sections
+    the n-ary bracket adds a multiple of i_{X_n} ... i_{X_1} H; at n = 3
+    on three sections it is -1/6 sum_cyc <[[e_i, e_j]]_H, e_k>.  Even
+    arities >= 4 vanish (odd Bernoulli numbers are zero), and so does
+    every bracket of two or more lower forms.
     """
 
     def __init__(self, r: int, ctx: Context, H: Form | None = None,
@@ -268,27 +300,31 @@ class TwistedSectionsFamily(MultibracketFamily):
     def _exact(self, d: Form) -> SectionEp:
         return SectionEp(self.r - 1, VField.zero(self.ctx), d)
 
-    def _tri(self, xi: Form, X1: VField, X2: VField, full: bool) -> Form:
-        t = Fraction(1, 2) * (contract(X1, lie_derivative(X2, xi))
-                              - contract(X2, lie_derivative(X1, xi)))
-        t = t + contract(lie_bracket(X1, X2), xi)
-        if full:
-            t = t + contract(X1, contract(X2, deRham(xi)))
-        return Fraction(-1, 6) * t
+    def vanishes(self, degrees) -> bool:
+        """The shared rule, two or more lower forms, or an even arity >= 4."""
+        n = len(degrees)
+        return (super().vanishes(degrees) or n >= 4 and n % 2 == 0
+                or sum(d < 0 for d in degrees) >= 2)
 
     def _nary_form(self, xi: Form, Xs: list[VField], full: bool) -> Form:
-        # [xi, X_1, ..., X_{n-1}] for odd n >= 3
-        n = len(Xs) + 1
-        coeff = Fraction(12, (n - 1) * (n - 2)) * bernoulli(n - 1) * _eps(n)
-        acc = Form.zero(self.ctx)
-        for i in range(len(Xs)):
-            for j in range(i + 1, len(Xs)):
-                t = self._tri(xi, Xs[i], Xs[j], full)
-                for m in range(len(Xs)):
-                    if m not in (i, j):
-                        t = contract(Xs[m], t)
-                sgn = -1 if (i + j) % 2 else 1  # (-1)^{i+j+1} for 1-based i, j
-                acc = acc + sgn * t
+        # [xi, X_0, ..., X_{k-1}] for odd n = k + 1 >= 3, in closed form
+        k = len(Xs)
+        coeff = Fraction(-2, k * (k - 1)) * bernoulli(k) * _eps(k + 1)
+
+        def iota(skip, form):  # contract the fields not in skip, in order
+            for m, X in enumerate(Xs):
+                if m not in skip:
+                    form = contract(X, form)
+            return form
+
+        i_xi = [contract(X, xi) for X in Xs]
+        acc = Fraction(k * (k - 1) * (2 + full), 2) * iota((), deRham(xi))
+        for m in range(k):
+            t = Fraction(3 * (k - 1), 2) * iota((m,), deRham(i_xi[m]))
+            acc = acc - t if m % 2 else acc + t
+        for i, j in itertools.combinations(range(k), 2):
+            t = iota((i, j), deRham(contract(Xs[i], i_xi[j])))
+            acc = acc - t if (i + j) % 2 else acc + t
         return coeff * acc
 
     def _bracket(self, args: list[GradedElem]) -> GradedElem:
@@ -296,8 +332,6 @@ class TwistedSectionsFamily(MultibracketFamily):
         degs = [a.degree for a in args]
         out_deg = sum(degs) + 2 - n
         negs = [k for k, d in enumerate(degs) if d < 0]
-        if len(negs) >= 2 or (n >= 4 and n % 2 == 0):
-            return GradedElem.zero()
         if n == 2:
             a, b = args
             if not negs:

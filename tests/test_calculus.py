@@ -505,3 +505,20 @@ def test_constant_coordinates_round_trip():
     assert not bent.is_constant()
     with pytest.raises(ValueError):
         coords(bent)
+
+
+def test_const_refuses_a_coordinate_list_of_the_wrong_length():
+    from diracspace.lagrangian import const_vfield
+    ctx2, ctx3 = Context(2), Context(3)
+    for build in (lambda: const(Form, ctx2, 1, [1, 2, 3]),
+                  lambda: const(Form, ctx2, 1, [5]),
+                  lambda: const(MultiVec, ctx3, 2, [1, 2]),
+                  lambda: const(Form, ctx3, 0, []),
+                  lambda: const_vfield(ctx3, [1, 2]),
+                  lambda: const_vfield(ctx3, [1, 2, 3, 4])):
+        with pytest.raises(ValueError, match="coordinates for the"):
+            build()
+    assert const(Form, ctx2, 1, [1, 2]) == Form(ctx2, 1, {
+        (1,): Poly.constant(ctx2, 1), (2,): Poly.constant(ctx2, 2)})
+    assert str(const_vfield(ctx3, [1, 0, 2])) == str(
+        const(VField, ctx3, 1, (1, 0, 2)))

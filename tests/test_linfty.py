@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from diracspace.poly import Context, Poly
-from diracspace.calculus import Form, VField, deRham
+from diracspace.poly import Context, Poly, bernoulli
+from diracspace.calculus import (Form, VField, contract, deRham, lie_bracket,
+                                  lie_derivative)
+from diracspace.graded import ORACLE_MAX_ARITY, encode_element, oracle_bracket
 from diracspace.courant import SectionEp
 from diracspace import linfty
 from diracspace.linfty import (GradedElem, ObservablesFamily,
@@ -226,9 +229,22 @@ def test_unary_is_de_rham():
     assert got.payload == SectionEp(2, VField.zero(ctx4), deRham(xi))
 
 
+def _draw(rng, F, degree):
+    # a seeded nonzero element of F of the given degree
+    sample = (random_observables_elem if isinstance(F, ObservablesFamily)
+              else random_twisted_elem)
+    while True:
+        e = sample(rng, F)
+        if e.degree == degree and not e.is_zero():
+            return e
+
+
 def test_check_relation_skips_vanishing_arities():
     # l_k above max_arity is zero by degree, so check_relation never
-    # calls it; the relation at n = max_arity + 1 still holds
+    # calls it; the relation at n = max_arity + 1 still holds.  A tuple
+    # with a negative entry may call no l at all (every observables
+    # bracket of arity >= 2 with a negative argument vanishes by degree),
+    # so the all-degree-0 tuples must call some l
     def recording(family):
         class Recording(family):
             def l(self, args):
@@ -242,12 +258,105 @@ def test_check_relation_skips_vanishing_arities():
         2, ctx3, Form(ctx3, 3, {(1, 2, 3): random_poly(local, ctx3, 1)}))
     for F, sample in ((F_obs, random_observables_elem),
                       (F_tw, random_twisted_elem)):
-        for _ in range(4):
+        n = F.max_arity + 1
+        tuples = [[sample(local, F) for _ in range(n)] for _ in range(4)]
+        tuples += [[_draw(local, F, 0) for _ in range(n)] for _ in range(2)]
+        for elems in tuples:
             F.arities = []
-            elems = [sample(local, F) for _ in range(F.max_arity + 1)]
             assert check_relation(F, elems).is_zero()
-            assert F.arities and max(F.arities) <= F.max_arity
+            if all(e.degree == 0 for e in elems):
+                assert F.arities
+            assert max(F.arities, default=0) <= F.max_arity
             assert F.l(elems).is_zero()
+
+
+def _bracket_without_rule(F, args):
+    # l on nonzero args with `vanishes` bypassed: the family's bracket
+    # formula where it is defined, the graded oracle for twisted
+    # arguments with two or more lower forms (up to its arity), and None
+    # for an observables bracket with a lower-form argument, which is
+    # zero by definition.  l_1 on degree 0 would land in degree 1.
+    if len(args) == 1:
+        return F._clamp(args[0].degree + 1, args[0].payload)
+    negs = sum(a.degree < 0 for a in args)
+    if isinstance(F, ObservablesFamily):
+        return None if negs else F._bracket(args)
+    if negs < 2:
+        return F._bracket(args)
+    if len(args) > ORACLE_MAX_ARITY:
+        return None
+    return oracle_bracket(F.r, F.ctx, [encode_element(F.r, a) for a in args],
+                          F.H)
+
+
+def test_vanishing_rule_is_sound():
+    # every degree signature that `vanishes` declares zero has a zero
+    # bracket on seeded draws, computed without the rule
+    local = random.Random(61)
+    families = [ObservablesFamily(GraphForm(n, n - 1, Form.basis(
+        Context(n), tuple(range(1, n + 1))))) for n in (2, 3, 4)]
+    for r in (1, 2, 3, 4):
+        ctx = Context(r + 1)
+        H = random_closed_form(local, ctx, r + 1)
+        assert not H.is_zero()
+        families.append(TwistedSectionsFamily(r, ctx, H))
+    checked = 0
+    for F in families:
+        for n in range(1, F.max_arity + 2):
+            for sig in itertools.combinations_with_replacement(
+                    range(-F.depth, 1), n):
+                sig = list(sig)
+                local.shuffle(sig)
+                if not F.vanishes(sig):
+                    continue
+                args = [_draw(local, F, d) for d in sig]
+                got = _bracket_without_rule(F, args)
+                if got is not None:
+                    checked += 1
+                    assert got.is_zero(), (type(F).__name__, F.depth, sig)
+    assert checked >= 180, checked
+
+
+def _tri_reference(xi, X1, X2, full):
+    t = Fraction(1, 2) * (contract(X1, lie_derivative(X2, xi))
+                          - contract(X2, lie_derivative(X1, xi)))
+    t = t + contract(lie_bracket(X1, X2), xi)
+    if full:
+        t = t + contract(X1, contract(X2, deRham(xi)))
+    return Fraction(-1, 6) * t
+
+
+def _nary_form_reference(ctx, xi, Xs, full):
+    # the pairwise body that the closed form of _nary_form replaced
+    n = len(Xs) + 1
+    coeff = (Fraction(12, (n - 1) * (n - 2)) * bernoulli(n - 1)
+             * linfty._eps(n))
+    acc = Form.zero(ctx)
+    for i in range(len(Xs)):
+        for j in range(i + 1, len(Xs)):
+            t = _tri_reference(xi, Xs[i], Xs[j], full)
+            for m in range(len(Xs)):
+                if m not in (i, j):
+                    t = contract(Xs[m], t)
+            acc = acc + (-1 if (i + j) % 2 else 1) * t
+    return coeff * acc
+
+
+def test_nary_form_matches_the_pairwise_body():
+    local = random.Random(62)
+    nonzero = {2: 0, 3: 0, 4: 0}
+    for k, full, dim, r in itertools.product((2, 3, 4), (False, True),
+                                             (2, 3, 4, 5), (2, 3, 4)):
+        ctx = Context(dim)
+        F = TwistedSectionsFamily(r, ctx)
+        for deg in (r - 1, local.randrange(r)):
+            xi = random_form(local, ctx, deg, max_deg=2)
+            Xs = [random_vfield(local, ctx, max_deg=1) for _ in range(k)]
+            want = _nary_form_reference(ctx, xi, Xs, full)
+            got = F._nary_form(xi, Xs, full)
+            assert got == want and str(got) == str(want), (k, full, dim, r)
+            nonzero[k] += not want.is_zero()
+    assert nonzero[3] == 0 and nonzero[2] >= 30 and nonzero[4] >= 4, nonzero
 
 
 def _set_partitions(items):
