@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from .poly import Context, Poly, _IntSum, _as_rat, _reduced
+from .poly import Context, Poly, _IntSum, _as_rat, _from_terms, _reduced
 
 
 def _sort_sign(seq, odd=None):
@@ -274,11 +274,9 @@ def const(cls: type, ctx: Context, degree: int, coords):
         raise ValueError(f"{len(coords)} coordinates for the {len(idxs)} "
                          f"components of degree {degree} in dimension "
                          f"{ctx.dim}")
-    pairs = [(idx, _as_rat(c)) for idx, c in zip(idxs, coords)]
-    den = lcm(*[c.denominator for _, c in pairs])
-    return cls._raw(ctx, degree, {(idx, zero): c.numerator
-                                  * (den // c.denominator)
-                                  for idx, c in pairs if c}, den)
+    return cls._raw(ctx, degree, *_from_terms(
+        ((idx, zero), *_as_rat(c).as_integer_ratio())
+        for idx, c in zip(idxs, coords)))
 
 
 def coords(a: _Graded) -> list[Fraction]:

@@ -237,9 +237,8 @@ def cmd_check_dirac(args) -> int:
     for name, rep in (("isotropic", P.verify_isotropic()),
                       ("involutive", P.verify_involutive())):
         reports.append({"command": "check-dirac", "check": name,
-                        "seed": 0, "trials": rep.get("trials", 0),
-                        "witnesses": [str(w) for w in rep.get(
-                            "witnesses", [])][:3],
+                        "seed": 0, "trials": 0,
+                        "witnesses": rep["witnesses"][:3],
                         "status": rep["status"]})
     L = _constant_subspace(P)
     if L is not None:

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial
 
 from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
 from .courant import SectionEp, dorfman
 from .linfty import GradedElem, TwistedSectionsFamily
-from .poly import Context, _IntSum, _reduced, bernoulli
+from .poly import Context, _IntSum, _from_terms, _reduced, bernoulli
 from .sampling import random_form, random_vfield
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -59,14 +59,13 @@ class GPoly(_IntSum):
     def __init__(self, r: int, ctx: Context, terms: dict | None = None):
         self.r = r
         self.ctx = ctx
-        num: dict = {}
-        den = 1
+        rows = []
         for (e, gens), c in (terms or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("expected an integer or Fraction, got "
                                 f"{type(c).__name__}")
             e = tuple(e)
-            if len(e) != ctx.dim or any(k < 0 for k in e):
+            if len(e) != ctx.dim or min(e) < 0:
                 raise ValueError(f"bad exponent vector {e} for dim {ctx.dim}")
             for g in gens:
                 if not (len(g) == 2 and g[0] in _KIND_DEG
@@ -74,19 +73,9 @@ class GPoly(_IntSum):
                     raise ValueError(f"bad generator {g} for dim {ctx.dim}")
             sign, word = _normal(tuple(gens), r % 2)
             n, d = c.as_integer_ratio()
-            if not (sign and n):
-                continue
-            if den % d:
-                scale = d // gcd(den, d)
-                for k in num:
-                    num[k] *= scale
-                den *= scale
-            key = (e, word)
-            num[key] = num.get(key, 0) + sign * n * (den // d)
+            rows.append(((e, word), sign * n, d))
         # words that share a normal form may cancel or leave a content
-        out = GPoly._collect(r, ctx, num, den)
-        self._num = out._num
-        self._den = out._den
+        self._num, self._den = _from_terms(rows)
 
     @staticmethod
     def _raw(r: int, ctx: Context, num: dict, den: int = 1) -> "GPoly":
@@ -161,16 +150,10 @@ class GPoly(_IntSum):
 
 
 def _combine(r: int, ctx: Context, parts) -> GPoly:
-    """The sum of s * g over the pairs (s, g) of ``parts``, s = 1 or -1,
-    accumulated over the lcm of the denominators."""
-    den = lcm(*(g._den for _, g in parts))
-    acc: dict = {}
-    get = acc.get
-    for s, g in parts:
-        scale = s * (den // g._den)
-        for k, n in g._num.items():
-            acc[k] = get(k, 0) + scale * n
-    return GPoly._collect(r, ctx, acc, den)
+    """The sum of s * g over the pairs (s, g) of ``parts``, s = 1 or -1."""
+    return GPoly._raw(r, ctx, *_from_terms((k, s * n, g._den)
+                                           for s, g in parts
+                                           for k, n in g._num.items()))
 
 
 def gbracket(a: GPoly, b: GPoly) -> GPoly:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .calculus import Form, MultiVec, VField, _sort_sign
+from .calculus import Form, MultiVec, VField, _wedge_idx
 from .courant import SectionEp
-from .poly import Context, Poly
+from .poly import Context, Poly, _IntSum, _reduced
 
 MAX_DEPTH = 100     # nested parentheses and unary minus signs
 MAX_EXPONENT = 64   # largest n in a power x^n
@@ -77,62 +77,60 @@ def tokenize(src: str):
     return tokens
 
 
-class _Terms:
-    """Sum of coefficient * dx-word * Dx-word, sign-normalized."""
+class _Terms(_IntSum):
+    """Sum of rational * monomial * dx-word * Dx-word: an `_IntSum`
+    keyed by (dx word, Dx word, exponent tuple), each word sorted."""
 
-    def __init__(self, ctx: Context, terms=None):
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: Context, num: dict, den: int = 1):
+        """Trusted: ``num`` maps keys to nonzero ints over a positive
+        ``den``; the content is divided out here."""
         self.ctx = ctx
-        self.terms = terms if terms is not None else {}
+        self._num, self._den = _reduced(num, den)
 
     @staticmethod
-    def scalar(ctx: Context, p: Poly) -> "_Terms":
-        return _Terms(ctx, {((), ()): p} if not p.is_zero() else {})
+    def atom(ctx: Context, c=1, x: int = 0, dx: tuple = (),
+             Dx: tuple = ()) -> "_Terms":
+        """c times x_x (no variable when ``x`` is 0), ``dx`` and ``Dx``;
+        ``c`` is an int or Fraction."""
+        exp = tuple(int(i == x) for i in ctx.axes())
+        n, d = c.as_integer_ratio()
+        return _Terms(ctx, {(dx, Dx, exp): n} if n else {}, d)
 
-    @staticmethod
-    def generator(ctx: Context, kind: str, i: int) -> "_Terms":
-        if not 1 <= i <= ctx.dim:
-            raise ValueError(f"index {i} out of range 1..{ctx.dim}")
-        key = ((i,), ()) if kind == "dx" else ((), (i,))
-        return _Terms(ctx, {key: Poly.constant(ctx, 1)})
+    def _like(self, num: dict, den: int = 1) -> "_Terms":
+        return _Terms(self.ctx, num, den)
+
+    def _check(self, other: "_Terms"):
+        """Every operand comes from one parse, over one context."""
 
     def size(self) -> int:
-        """Number of monomial terms over all coefficients."""
-        return sum(len(c.terms) for c in self.terms.values())
-
-    def _put(self, out, key, c):
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-
-    def __add__(self, other: "_Terms") -> "_Terms":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            self._put(out, k, c)
-        return _Terms(self.ctx, {k: c for k, c in out.items()
-                                 if not c.is_zero()})
-
-    def __neg__(self) -> "_Terms":
-        return _Terms(self.ctx, {k: -c for k, c in self.terms.items()})
+        """Number of monomial terms."""
+        return len(self._num)
 
     def times(self, other: "_Terms", warnings: list) -> "_Terms":
-        """The product; each pair of terms that repeats a factor is
-        dropped with a line appended to ``warnings``."""
-        out: dict = {}
-        for (fa, va), ca in self.terms.items():
-            for (fb, vb), cb in other.terms.items():
-                sf, f = _sort_sign(fa + fb)
-                sv, v = _sort_sign(va + vb)
-                if sf == 0 or sv == 0:
+        """The product; each pair of words that repeats a factor is
+        dropped with one line appended to ``warnings``."""
+        num: dict = {}
+        get = num.get
+        add = int.__add__
+        dropped = set()
+        for (fa, va, ea), ca in self._num.items():
+            for (fb, vb, eb), cb in other._num.items():
+                sf, f = _wedge_idx(fa, fb)
+                sv, v = _wedge_idx(va, vb)
+                if sf and sv:
+                    key = (f, v, tuple(map(add, ea, eb)))
+                    num[key] = get(key, 0) + sf * sv * ca * cb
+                elif (fa, va, fb, vb) not in dropped:
+                    dropped.add((fa, va, fb, vb))
                     word = fa + fb if sf == 0 else va + vb
                     warnings.append(
                         "repeated factor normalizes to zero: "
                         + "^".join(("dx" if sf == 0 else "Dx") + str(i)
                                    for i in word))
-                    continue
-                self._put(out, (f, v), (sf * sv) * (ca * cb))
-        return _Terms(self.ctx, {k: c for k, c in out.items()
-                                 if not c.is_zero()})
+        return _Terms(self.ctx, {k: n for k, n in num.items() if n},
+                      self._den * other._den)
 
 
 class _Parser:
@@ -223,7 +221,7 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}",
                                  line, col)
-            out = _Terms.scalar(self.ctx, Poly.constant(self.ctx, 1))
+            out = _Terms.atom(self.ctx)
             for _ in range(k):
                 out = self.multiply(out, base, line, col)
             return out
@@ -237,21 +235,20 @@ class _Parser:
             den = _integer(b, line, col) if b else 1
             if den == 0:
                 raise ParseError("division by zero", line, col)
-            val = Fraction(_integer(a, line, col), den)
-            return _Terms.scalar(self.ctx, Poly.constant(self.ctx, val))
+            return _Terms.atom(self.ctx, Fraction(_integer(a, line, col), den))
         if kind == "var":
             self.next()
             i = _integer(text[1:].strip("{}"), line, col)
             if not 1 <= i <= self.ctx.dim:
                 raise ParseError(f"unknown variable {text}", line, col)
-            return _Terms.scalar(self.ctx, Poly.variable(self.ctx, i))
+            return _Terms.atom(self.ctx, x=i)
         if kind in ("dx", "ddx"):
             self.next()
             i = _integer(text[2:].strip("{}"), line, col)
             if not 1 <= i <= self.ctx.dim:
                 raise ParseError(f"unknown basis index {text}", line, col)
-            return _Terms.generator(self.ctx, "dx" if kind == "dx" else "Dx",
-                                    i)
+            return (_Terms.atom(self.ctx, dx=(i,)) if kind == "dx"
+                    else _Terms.atom(self.ctx, Dx=(i,)))
         if (kind, text) == ("op", "("):
             self.descend()
             self.next()
@@ -274,36 +271,34 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
     """
     parser = _Parser(src, ctx)
     t = parser.parse()
-    form_terms = {k: c for k, c in t.terms.items() if k[0]}
-    field_terms = {k: c for k, c in t.terms.items() if k[1]}
-    scalar = t.terms.get(((), ()), Poly.zero(ctx))
-    if any(k[0] and k[1] for k in t.terms):
+    if any(f and v for f, v, _ in t._num):
         raise ParseError("cannot mix dx and Dx factors in one term", 1, 1)
-    form_degs = {len(k[0]) for k in form_terms}
-    field_degs = {len(k[1]) for k in field_terms}
+    form_num = {(f, e): n for (f, _, e), n in t._num.items() if f}
+    field_num = {(v, e): n for (_, v, e), n in t._num.items() if v}
+    scalar = Poly._raw(ctx, {e: n for (f, v, e), n in t._num.items()
+                             if not (f or v)}, t._den)
+    form_degs = {len(f) for f, _ in form_num}
+    field_degs = {len(v) for v, _ in field_num}
     if len(form_degs) > 1 or len(field_degs) > 1:
         raise ParseError("mixed degrees in one expression", 1, 1)
     fdeg = form_degs.pop() if form_degs else None
     vdeg = field_degs.pop() if field_degs else None
-    form = Form(ctx, fdeg or 0,
-                {k[0]: c for k, c in form_terms.items()}) if fdeg else None
-    if vdeg is not None:
-        mv = MultiVec(ctx, vdeg, {k[1]: c for k, c in field_terms.items()})
-    else:
-        mv = None
+    form = Form._raw(ctx, fdeg, form_num, t._den) if fdeg else None
+    kind = VField if vdeg == 1 else MultiVec
+    mv = kind._raw(ctx, vdeg, field_num, t._den) if vdeg else None
     if p is None:
         if mv is not None and form is None and scalar.is_zero():
-            return (mv.to_vfield() if vdeg == 1 else mv), parser.warnings
+            return mv, parser.warnings
         if mv is None and form is not None and scalar.is_zero():
             return form, parser.warnings
         if mv is None and form is None:
-            return Poly(ctx, scalar.terms), parser.warnings
+            return scalar, parser.warnings
         raise ParseError("supply the order p to read X + alpha sections",
                          1, 1)
     # a section X + alpha of order p (the 0-form part is alpha when p == 0)
     if mv is not None and vdeg != 1:
         raise ParseError("section parts must be plain vector fields", 1, 1)
-    X = mv.to_vfield() if mv is not None else VField.zero(ctx)
+    X = mv if mv is not None else VField.zero(ctx)
     if form is None:
         if not scalar.is_zero() and p != 0:
             raise ParseError(f"scalar part needs p = 0, got p = {p}", 1, 1)

@@ -53,9 +53,34 @@ def _reduced(num: dict, den: int) -> tuple:
     return num, den
 
 
+def _from_terms(terms) -> tuple:
+    """The reduced (num, den) of the sum of n/d at key over the
+    (key, n, d) triples of ``terms``, each d positive: the numerators of
+    one key add over a common denominator that grows, in one pass, as
+    the terms need it; zero terms and zero sums drop, and the content is
+    divided out."""
+    num: dict = {}
+    get = num.get
+    den = 1
+    for key, n, d in terms:
+        if d != den:
+            if den % d:
+                scale = d // gcd(den, d)
+                for k in num:
+                    num[k] *= scale
+                den *= scale
+            n *= den // d
+        n += get(key, 0)
+        if n:
+            num[key] = n
+        else:
+            num.pop(key, None)
+    return _reduced(num, den)
+
+
 class _IntSum:
-    """The int-numerator store that `Poly`, `graded.GPoly` and the
-    `calculus` forms and multivectors share.
+    """The int-numerator store that `Poly`, `graded.GPoly`, the
+    `calculus` forms and multivectors and the parser's sums share.
 
     ``_num`` maps keys to nonzero `int` numerators and ``_den`` is the
     positive common denominator, with ``gcd(_den, *_num.values()) == 1``;
@@ -134,31 +159,22 @@ class Poly(_IntSum):
 
     def __init__(self, ctx: Context, terms: dict | None = None):
         self.ctx = ctx
-        num = {}
-        den = 1
-        if terms:
-            for exp, c in terms.items():
-                if not isinstance(c, (int, Fraction)):
-                    _as_rat(c)  # raises the TypeError
-                n, d = c.as_integer_ratio()
-                # every key is checked, a zero coefficient's too; a
-                # repeated vector (keys such as (0, 1) and range(2)) with
-                # a nonzero coefficient is refused: it would leave den
-                # above the lcm
-                key = tuple(exp)
-                if (len(key) != ctx.dim or any(e < 0 for e in key)
-                        or n and key in num):
-                    raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}")
-                if not n:
-                    continue
-                if den % d:
-                    scale = d // gcd(den, d)
-                    for e in num:
-                        num[e] *= scale
-                    den *= scale
-                num[key] = n * (den // d)
-        self._num = num
-        self._den = den
+        rows = []
+        for exp, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                _as_rat(c)  # raises the TypeError
+            n, d = c.as_integer_ratio()
+            # every key is checked, a zero coefficient's too
+            key = tuple(exp)
+            if len(key) != ctx.dim or min(key) < 0:
+                raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}")
+            if n:
+                rows.append((key, n, d))
+        self._num, self._den = _from_terms(rows)
+        # keys such as (0, 1) and range(2) name one vector: two nonzero
+        # coefficients for it are ambiguous, and leave fewer terms than rows
+        if len(self._num) < len(rows):
+            raise ValueError(f"repeated exponent vector for dim {ctx.dim}")
 
     @staticmethod
     def _raw(ctx: Context, num: dict, den: int = 1) -> "Poly":

@@ -231,7 +231,7 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
     field: dict = {}
     for e in monomials:
         rhs = [terms.get((idx, e), Fraction(0)) for idx in idxs]
-        sol = solve(rows, rhs) if rows else ([] if not any(rhs) else None)
+        sol = solve(rows, rhs)
         if sol is None:
             return None
         for j, c in zip(P.S, sol):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diracspace import parser
 from diracspace.poly import Context, Poly
-from diracspace.calculus import Form, MultiVec, VField
+from diracspace.calculus import Form, MultiVec, VField, _sort_sign
 from diracspace.courant import SectionEp
 from diracspace.parser import (MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
                                ParseError, parse_expression)
@@ -215,3 +216,164 @@ def test_token_strings_parse_or_raise_parse_error(src, p):
         parse_expression(src, Context(3), p)
     except ParseError as exc:
         assert exc.line >= 1 and exc.col >= 1
+
+
+# -- the parser's store against the dict-of-Poly store it replaced ------
+
+
+class _DictTerms:
+    """The deleted store: {(dx word, Dx word): Poly}, one Poly per pair
+    of words, driven by the same grammar through ``atom``."""
+
+    def __init__(self, ctx, terms=None):
+        self.ctx = ctx
+        self.terms = terms if terms is not None else {}
+
+    @staticmethod
+    def atom(ctx, c=1, x=0, dx=(), Dx=()):
+        p = Poly.variable(ctx, x) if x else Poly.constant(ctx, c)
+        return _DictTerms(ctx, {(dx, Dx): p} if not p.is_zero() else {})
+
+    def size(self):
+        return sum(len(c.terms) for c in self.terms.values())
+
+    def _put(self, out, key, c):
+        if key in out:
+            out[key] = out[key] + c
+        else:
+            out[key] = c
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            self._put(out, k, c)
+        return _DictTerms(self.ctx, {k: c for k, c in out.items()
+                                     if not c.is_zero()})
+
+    def __neg__(self):
+        return _DictTerms(self.ctx, {k: -c for k, c in self.terms.items()})
+
+    def times(self, other, warnings):
+        out = {}
+        for (fa, va), ca in self.terms.items():
+            for (fb, vb), cb in other.terms.items():
+                sf, f = _sort_sign(fa + fb)
+                sv, v = _sort_sign(va + vb)
+                if sf == 0 or sv == 0:
+                    word = fa + fb if sf == 0 else va + vb
+                    warnings.append(
+                        "repeated factor normalizes to zero: "
+                        + "^".join(("dx" if sf == 0 else "Dx") + str(i)
+                                   for i in word))
+                    continue
+                self._put(out, (f, v), (sf * sv) * (ca * cb))
+        return _DictTerms(self.ctx, {k: c for k, c in out.items()
+                                     if not c.is_zero()})
+
+
+def _dict_parse(src, ctx, p=None):
+    """``parse_expression`` as it was over `_DictTerms`, validating
+    constructors included."""
+    saved = parser._Terms
+    parser._Terms = _DictTerms
+    try:
+        prs = parser._Parser(src, ctx)
+        t = prs.parse()
+    finally:
+        parser._Terms = saved
+    form_terms = {k: c for k, c in t.terms.items() if k[0]}
+    field_terms = {k: c for k, c in t.terms.items() if k[1]}
+    scalar = t.terms.get(((), ()), Poly.zero(ctx))
+    if any(k[0] and k[1] for k in t.terms):
+        raise ParseError("cannot mix dx and Dx factors in one term", 1, 1)
+    form_degs = {len(k[0]) for k in form_terms}
+    field_degs = {len(k[1]) for k in field_terms}
+    if len(form_degs) > 1 or len(field_degs) > 1:
+        raise ParseError("mixed degrees in one expression", 1, 1)
+    fdeg = form_degs.pop() if form_degs else None
+    vdeg = field_degs.pop() if field_degs else None
+    form = Form(ctx, fdeg or 0,
+                {k[0]: c for k, c in form_terms.items()}) if fdeg else None
+    if vdeg is not None:
+        mv = MultiVec(ctx, vdeg, {k[1]: c for k, c in field_terms.items()})
+    else:
+        mv = None
+    if p is None:
+        if mv is not None and form is None and scalar.is_zero():
+            return (mv.to_vfield() if vdeg == 1 else mv), prs.warnings
+        if mv is None and form is not None and scalar.is_zero():
+            return form, prs.warnings
+        if mv is None and form is None:
+            return Poly(ctx, scalar.terms), prs.warnings
+        raise ParseError("supply the order p to read X + alpha sections",
+                         1, 1)
+    if mv is not None and vdeg != 1:
+        raise ParseError("section parts must be plain vector fields", 1, 1)
+    X = mv.to_vfield() if mv is not None else VField.zero(ctx)
+    if form is None:
+        if not scalar.is_zero() and p != 0:
+            raise ParseError(f"scalar part needs p = 0, got p = {p}", 1, 1)
+        form = Form.from_poly(scalar) if p == 0 else Form.zero(ctx, p)
+    elif not scalar.is_zero():
+        raise ParseError("cannot mix a scalar with a form of degree > 0",
+                         1, 1)
+    if form.degree != p:
+        raise ParseError(f"form part has degree {form.degree}, "
+                         f"expected {p}", 1, 1)
+    return SectionEp(p, X, form), prs.warnings
+
+
+def _outcome(parse, src, ctx, p):
+    try:
+        value, warnings = parse(src, ctx, p)
+    except ParseError as exc:
+        return "error", str(exc)
+    return value, type(value), str(value), sorted(warnings)
+
+
+def _random_source(local, depth):
+    if depth == 0 or local.random() < 0.3:
+        kind = local.randrange(5)
+        i = local.randint(1, 3)
+        if kind == 0:
+            return local.choice(["0", "1", "2", "1/2", "3/4", "0/5", "5/1"])
+        return ("x", "dx", "Dx", "dx")[kind - 1] + str(i)
+    shape = local.randrange(6)
+    a = _random_source(local, depth - 1)
+    if shape == 3:
+        return f"-{a}"
+    if shape == 4:
+        return f"({a})^{local.randint(0, 3)}"
+    b = _random_source(local, depth - 1)
+    return f"({a}{local.choice('++-**^')}{b})"
+
+
+def test_parser_store_matches_the_dict_of_poly_store():
+    local = random.Random(19)
+    # 100 terms: 100 * 100 pairs are within MAX_TERMS, 100 * 101 are not
+    a = "+".join(f"x1^{i}*dx{j}" for i in range(50) for j in (1, 2))
+    for src in (f"({a})*({a})", f"({a})*({a}+x2)"):
+        want = _outcome(_dict_parse, src, Context(2), None)
+        assert _outcome(parse_expression, src, Context(2), None) == want
+    sources = ["(x1*dx1 + dx2 + x2*dx1 - x1*dx1)*(dx1 + dx2)"]
+    sources += [_random_source(local, 4) for _ in range(1200)]
+    counts = {"value": 0, "error": 0, "warned": 0}
+    for src in sources:
+        ctx = Context(local.randint(2, 3))
+        for p in (None, 0, 1, 2):
+            want = _outcome(_dict_parse, src, ctx, p)
+            assert _outcome(parse_expression, src, ctx, p) == want, (src, p)
+            counts["error" if want[0] == "error" else "value"] += 1
+            counts["warned"] += want[0] != "error" and bool(want[3])
+    assert min(counts.values()) >= 100, counts
+
+
+def test_dropped_factor_warnings_follow_the_store_order():
+    # the x1*dx1 terms cancel, so dx2 is the first surviving word of the
+    # left factor; the dict-of-Poly store kept dx1's key first
+    ctx = Context(2)
+    v, warnings = parse_expression(
+        "(x1*dx1 + dx2 + x2*dx1 - x1*dx1)*(dx1 + dx2)", ctx)
+    assert str(v) == "(x2 - 1)*dx1^dx2"
+    assert warnings == ["repeated factor normalizes to zero: dx2^dx2",
+                        "repeated factor normalizes to zero: dx1^dx1"]

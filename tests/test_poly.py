@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from diracspace.poly import Context, Poly, bernoulli
+from diracspace.poly import Context, Poly, _from_terms, bernoulli
 from diracspace.sampling import random_poly
 
 rng = random.Random(101)
@@ -262,11 +262,29 @@ def test_str_matches_fraction_printing():
 
 
 def test_public_constructor_refuses_a_repeated_vector():
-    # two keys with one exponent tuple would make the stored
-    # denominator depend on the overwritten coefficient
+    # two keys with one exponent tuple give it two coefficients, which
+    # is ambiguous; a zero coefficient for the second key is not
     ctx = Context(2)
     with pytest.raises(ValueError):
         Poly(ctx, {(0, 1): Fraction(1, 2), range(2): 1})
     p = Poly(ctx, {(0, 1): Fraction(1, 2), range(2): 0})
     _assert_canonical(p)
     assert p == Poly(ctx, {(0, 1): Fraction(1, 2)})
+
+
+def test_one_builder_adds_equal_keys_and_divides_the_content_out():
+    # keys repeat, numerators cancel, and denominators arrive in any
+    # order; the Fraction sum per key is the reference
+    local = random.Random(19)
+    for _ in range(300):
+        rows = [(local.randrange(4), local.randint(-6, 6),
+                 local.choice([1, 2, 3, 4, 6, 9]))
+                for _ in range(local.randint(0, 8))]
+        want: dict = {}
+        for key, n, d in rows:
+            want[key] = want.get(key, 0) + Fraction(n, d)
+        num, den = _from_terms(rows)
+        assert {k: Fraction(n, den) for k, n in num.items()} == \
+            {k: c for k, c in want.items() if c}
+        assert den > 0 and all(num.values())
+        assert gcd(den, *num.values()) == 1
