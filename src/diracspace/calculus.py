@@ -18,7 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
-from .poly import Context, Poly, _IntSum, _as_rat, _from_terms, _reduced
+from .poly import (Context, Poly, _IntSum, _as_rat, _brackets, _from_terms,
+                   _products, _reduced)
 
 
 def _sort_sign(seq, odd=None):
@@ -174,14 +175,8 @@ class _Graded(_IntSum):
             return self._scale(other)
         if other.ctx != self.ctx:
             raise ValueError("context mismatch")
-        num: dict = {}
-        get = num.get
-        for (idx, e1), c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                key = (idx, tuple(map(int.__add__, e1, e2)))
-                num[key] = get(key, 0) + c1 * c2
-        return self._collect(self.ctx, self.degree, num,
-                             self._den * other._den)
+        # a Poly multiplies as the 0-form it is
+        return self._like(*_products(self, Form.from_poly(other), _wedge_idx))
 
     __rmul__ = __mul__
 
@@ -215,7 +210,8 @@ class Form(_Graded):
 
     @staticmethod
     def from_poly(f: Poly) -> "Form":
-        return Form(f.ctx, 0, {(): f})
+        return Form._raw(f.ctx, 0, {((), e): n for e, n in f._num.items()},
+                         f._den)
 
     def to_poly(self) -> Poly:
         return self.as_degree(0, "form")._part(())
@@ -290,29 +286,6 @@ def coords(a: _Graded) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------
-# integer kernels: every loop runs over the (index, exponent) terms of
-# its operands and accumulates int numerators into one flat map over the
-# product of their denominators
-
-
-def _bilinear(a: _Graded, b: _Graded, rule, kind: type, degree: int):
-    """The ``kind`` of ``degree`` summing sign * f * g at idx over the
-    terms (I, f) of ``a`` and (J, g) of ``b``, where rule(I, J) =
-    (sign, idx); a zero sign drops the pair."""
-    num: dict = {}
-    get = num.get
-    add = int.__add__
-    items = b._num.items()
-    for (I, e1), c1 in a._num.items():
-        for (J, e2), c2 in items:
-            sign, idx = rule(I, J)
-            if sign:
-                key = (idx, tuple(map(add, e1, e2)))
-                num[key] = get(key, 0) + sign * c1 * c2
-    return kind._collect(a.ctx, degree, num, a._den * b._den)
-
-
-# ---------------------------------------------------------------------
 # wedge products
 
 
@@ -329,7 +302,7 @@ def wedge(a: Form | MultiVec, b: Form | MultiVec) -> Form | MultiVec:
     deg = a.degree + b.degree
     if deg > a.ctx.dim:
         return kind.zero(a.ctx, deg)
-    return _bilinear(a, b, _wedge_idx, kind, deg)
+    return kind._raw(a.ctx, deg, *_products(a, b, _wedge_idx))
 
 
 # ---------------------------------------------------------------------
@@ -357,7 +330,7 @@ def contract(Y: MultiVec, a: Form) -> Form:
     deg = a.degree - Y.degree
     if deg < 0:
         return Form.zero(a.ctx, deg)
-    return _bilinear(Y, a, _contract_idx, Form, deg)
+    return Form._raw(a.ctx, deg, *_products(Y, a, _contract_idx))
 
 
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
@@ -367,16 +340,11 @@ def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
     deg = pi.degree - alpha.degree
     if deg < 0:
         return MultiVec.zero(pi.ctx, deg)
-    return _bilinear(alpha, pi, _contract_idx, MultiVec, deg)
+    return MultiVec._raw(pi.ctx, deg, *_products(alpha, pi, _contract_idx))
 
 
 # ---------------------------------------------------------------------
 # derivatives and brackets
-
-
-def _lower(e: tuple, j: int) -> tuple:
-    """The exponent tuple ``e`` with entry ``j`` (0-based) lowered by one."""
-    return e[:j] + (e[j] - 1,) + e[j + 1:]
 
 
 def deRham(a: Form) -> Form:
@@ -389,7 +357,7 @@ def deRham(a: Form) -> Form:
         for j, k in enumerate(e):
             if k and j + 1 not in idx:
                 sign, merged = _wedge_idx((j + 1,), idx)
-                key = (merged, _lower(e, j))
+                key = (merged, e[:j] + (k - 1,) + e[j + 1:])
                 num[key] = get(key, 0) + sign * k * n
     return Form._collect(a.ctx, deg, num, a._den)
 
@@ -436,37 +404,20 @@ def lie_derivative_direct(X: VField, a: Form) -> Form:
 
 @lru_cache(maxsize=4096)
 def _bracket_rule(K: tuple, M: tuple) -> tuple:
-    """[f D_K, g D_M] as entries (on_g, j, sign, idx) read off the
-    `schouten` formula: an entry adds sign * f d_j(g) D_idx when ``on_g``
-    holds and sign * g d_j(f) D_idx otherwise, d_j the partial derivative
-    by x_(j+1); a word that repeats an axis is left out."""
+    """[f D_K, g D_M] as `poly._brackets` entries (src, j, sign, idx)
+    read off the `schouten` formula: an entry adds sign * f d_j(g) D_idx
+    for src 1 and sign * g d_j(f) D_idx for src 2, d_j the partial
+    derivative by x_(j+1); a word that repeats an axis is left out."""
     rule = []
     for a, k in enumerate(K):
         sign, idx = _wedge_idx(M[:1] + K[:a] + K[a + 1:], M[1:])
         if sign:
-            rule.append((True, k - 1, -sign if a % 2 else sign, idx))
+            rule.append((1, k - 1, -sign if a % 2 else sign, idx))
     for b, m in enumerate(M):
         sign, idx = _wedge_idx(K, M[:b] + M[b + 1:])
         if sign:
-            rule.append((False, m - 1, sign if b % 2 else -sign, idx))
+            rule.append((2, m - 1, sign if b % 2 else -sign, idx))
     return tuple(rule)
-
-
-def _bracket(P: MultiVec, Q: MultiVec, kind: type) -> MultiVec:
-    """The Schouten bracket of P and Q as a ``kind``, term by term."""
-    num: dict = {}
-    get = num.get
-    add = int.__add__
-    items = Q._num.items()
-    for (K, ef), f in P._num.items():
-        for (M, eg), g in items:
-            e = tuple(map(add, ef, eg))
-            for on_g, j, sign, idx in _bracket_rule(K, M):
-                if k := (eg if on_g else ef)[j]:
-                    key = (idx, _lower(e, j))
-                    num[key] = get(key, 0) + sign * k * f * g
-    return kind._collect(P.ctx, P.degree + Q.degree - 1, num,
-                         P._den * Q._den)
 
 
 def lie_bracket(X: VField, Y: VField) -> VField:
@@ -474,7 +425,7 @@ def lie_bracket(X: VField, Y: VField) -> VField:
     _check(X, Y, MultiVec, MultiVec)
     if X.degree != 1 or Y.degree != 1:
         raise ValueError("lie_bracket takes two vector fields")
-    return _bracket(X, Y, VField)
+    return VField._raw(X.ctx, 1, *_brackets(X, Y, _bracket_rule))
 
 
 def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
@@ -494,4 +445,5 @@ def schouten(P: MultiVec, Q: MultiVec) -> MultiVec:
     _check(P, Q, MultiVec, MultiVec)
     if P.degree < 1 or Q.degree < 1:
         raise ValueError("schouten is implemented for degrees >= 1")
-    return _bracket(P, Q, MultiVec)
+    return MultiVec._raw(P.ctx, P.degree + Q.degree - 1,
+                         *_brackets(P, Q, _bracket_rule))

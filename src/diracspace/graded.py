@@ -23,14 +23,15 @@ against the direct formulas pins every convention choice.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
 from .courant import SectionEp, dorfman
 from .linfty import GradedElem, TwistedSectionsFamily
-from .poly import Context, _IntSum, _from_terms, _reduced, bernoulli
+from .poly import (Context, _IntSum, _brackets, _from_terms, _products,
+                   _reduced, bernoulli)
 from .sampling import random_form, random_vfield
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -50,8 +51,8 @@ def _normal(word: tuple, rp: int) -> tuple:
 class GPoly(_IntSum):
     """Polynomial in x_i, v_i, p_i, P_i.
 
-    Stored as an `_IntSum` keyed by (exponents, word), the word in
-    normal form.
+    Stored as an `_IntSum` keyed by (word, exponents), the word in
+    normal form; the constructor takes (exponents, generators) keys.
     """
 
     __slots__ = ("r", "ctx")
@@ -73,7 +74,7 @@ class GPoly(_IntSum):
                     raise ValueError(f"bad generator {g} for dim {ctx.dim}")
             sign, word = _normal(tuple(gens), r % 2)
             n, d = c.as_integer_ratio()
-            rows.append(((e, word), sign * n, d))
+            rows.append(((word, e), sign * n, d))
         # words that share a normal form may cancel or leave a content
         self._num, self._den = _from_terms(rows)
 
@@ -87,11 +88,6 @@ class GPoly(_IntSum):
         out.ctx = ctx
         out._num, out._den = _reduced(num, den)
         return out
-
-    @staticmethod
-    def _collect(r: int, ctx: Context, num: dict, den: int = 1) -> "GPoly":
-        """`_raw` of an accumulated map whose numerators may be zero."""
-        return GPoly._raw(r, ctx, {k: n for k, n in num.items() if n}, den)
 
     def _like(self, num: dict, den: int = 1) -> "GPoly":
         return GPoly._raw(self.r, self.ctx, num, den)
@@ -110,15 +106,8 @@ class GPoly(_IntSum):
         if isinstance(other, GPoly):
             self._check(other)
             rp = self.r % 2
-            num: dict = {}
-            for (ea, ga), ca in self._num.items():
-                for (eb, gb), cb in other._num.items():
-                    s, word = _normal(ga + gb, rp)
-                    if s:
-                        key = (tuple(map(int.__add__, ea, eb)), word)
-                        num[key] = num.get(key, 0) + s * ca * cb
-            return GPoly._collect(self.r, self.ctx, num,
-                                  self._den * other._den)
+            return self._like(*_products(
+                self, other, lambda ga, gb: _normal(ga + gb, rp)))
         return self._scale(other)
 
     __rmul__ = __mul__
@@ -131,14 +120,16 @@ class GPoly(_IntSum):
     def degree(self):
         """Total degree if homogeneous, else None."""
         degs = {sum(_gen_degree(g, self.r) for g in gens)
-                for (_, gens) in self._num}
+                for (gens, _) in self._num}
         return degs.pop() if len(degs) == 1 else (0 if not degs else None)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         bits = []
-        for (e, gens), n in sorted(self._num.items()):
+        # printed in (exponents, word) order
+        for (e, gens), n in sorted(((e, w), n)
+                                   for (w, e), n in self._num.items()):
             mono = "*".join([f"x{i+1}^{k}" if k > 1 else f"x{i+1}"
                              for i, k in enumerate(e) if k]
                             + [f"{g[0]}{g[1]}" for g in gens]) or "1"
@@ -157,43 +148,20 @@ def _combine(r: int, ctx: Context, parts) -> GPoly:
 
 
 def gbracket(a: GPoly, b: GPoly) -> GPoly:
-    """The bracket {a, b}: for each pair of terms x^ea*ga and x^eb*gb,
-    the entries of `_bracket_rule` (ga, gb), with the int numerators over
-    a._den * b._den."""
+    """The bracket {a, b}: `poly._brackets` over the entries of
+    `_bracket_rule` for each pair of words."""
     a._check(b)
-    r = a.r
-    out: dict = {}
-    get = out.get
-    add = int.__add__
-    for (ea, ga), ca in a._num.items():
-        for (eb, gb), cb in b._num.items():
-            rule = _bracket_rule(ga, gb, r)
-            if not rule:
-                continue
-            c = ca * cb
-            e = tuple(map(add, ea, eb))
-            for src, i, s, word in rule:
-                if src:
-                    k = (eb if src == 1 else ea)[i]
-                    if not k:
-                        continue
-                    key = (e[:i] + (e[i] - 1,) + e[i + 1:], word)
-                    n = s * k * c
-                else:
-                    key = (e, word)
-                    n = s * c
-                out[key] = get(key, 0) + n
-    return GPoly._collect(r, a.ctx, out, a._den * b._den)
+    return a._like(*_brackets(a, b, _BRACKET_RULES[a.r % 2]))
 
 
-@lru_cache(maxsize=4096)
-def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
+def _bracket_rule(ga: tuple, gb: tuple, rp: int) -> tuple:
     """The bracket of x^ea*ga with x^eb*gb, summed over conjugate factor
     pairs, as entries (src, i, sign, word) that depend on the words only.
     An entry adds sign * x^(ea+eb) * word; for src 1 it is multiplied by
     eb[i] and for src 2 by ea[i], and the exponent of x_i is lowered by
     one (src 0 has i = None).  With |w| the summed degree of a word and
-    D = |gb| - r:
+    D = |gb| - r, and ``rp`` = r mod 2, since every sign reads a degree
+    only mod 2:
 
       ga[j] against gb[l], {p_i, v_i} = 1 and {v_i, p_i} = (-1)^r:
         (-1)^{|ga[j+1:]| D + (|ga[j]| - r) |gb[:l]|}
@@ -208,10 +176,9 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
     gb[:l].  Each word is given in normal form, its Koszul sign folded
     into the entry's sign; an entry whose word vanishes is left out.
     """
-    rp = r % 2
-    dga = [_gen_degree(g, r) for g in ga]
-    dgb = [_gen_degree(g, r) for g in gb]
-    D = sum(dgb) - r
+    dga = [_gen_degree(g, rp) for g in ga]
+    dgb = [_gen_degree(g, rp) for g in gb]
+    D = sum(dgb) - rp
     rule = []
 
     def put(src, i, word, sign):
@@ -230,7 +197,7 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
         before = 0
         for l, g in enumerate(gb):
             if g[1] == f[1] and f[0] + g[0] in ("pv", "vp"):
-                s = (dga[j] - r) * before + (r if f[0] == "v" else 0)
+                s = (dga[j] - rp) * before + (rp if f[0] == "v" else 0)
                 put(0, None, head + gb[:l] + gb[l + 1:] + tail,
                     -c if s % 2 else c)
             before += dgb[l]
@@ -239,9 +206,15 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
     for l, g in enumerate(gb):
         if g[0] == "P":
             put(2, g[1], gb[:l] + gb[l + 1:] + ga,
-                c if r * before % 2 else -c)
+                c if rp * before % 2 else -c)
         before += dgb[l]
     return tuple(rule)
+
+
+# the cached two-argument rule of each parity of r, which `gbracket`
+# passes to `poly._brackets`; a cache hit does not reach the partial
+_BRACKET_RULES = tuple(lru_cache(maxsize=4096)(partial(_bracket_rule, rp=rp))
+                       for rp in (0, 1))
 
 
 # -- encoding the complex ----------------------------------------------
@@ -250,12 +223,12 @@ def _bracket_rule(ga: tuple, gb: tuple, r: int) -> tuple:
 def encode_form(r: int, alpha: Form) -> GPoly:
     # a word of v's in increasing index order is in normal form
     return GPoly._raw(r, alpha.ctx, {
-        (e, tuple(("v", i - 1) for i in idx)): n
+        (tuple(("v", i - 1) for i in idx), e): n
         for (idx, e), n in alpha._num.items()}, alpha._den)
 
 
 def encode_vfield(r: int, X: VField) -> GPoly:
-    return GPoly._raw(r, X.ctx, {(e, (("p", i - 1),)): n
+    return GPoly._raw(r, X.ctx, {((("p", i - 1),), e): n
                                  for ((i,), e), n in X._num.items()}, X._den)
 
 
@@ -271,7 +244,7 @@ def decode(g: GPoly, p: int | None = None, section: bool = False):
     ctx = g.ctx
     form_num: dict = {}
     field_num: dict = {}
-    for (e, word), n in g._num.items():
+    for (word, e), n in g._num.items():
         kinds = {w[0] for w in word}
         if "P" in kinds:
             raise ValueError("cannot decode a word containing P generators")

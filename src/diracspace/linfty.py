@@ -343,25 +343,19 @@ class TwistedSectionsFamily(MultibracketFamily):
             sgn = 1 if pos % 2 else -1
             return self._clamp(out_deg,
                                sgn * Fraction(1, 2) * lie_derivative(e.X, xi))
-        # odd n >= 3, on sections or with one lower form
-        if negs:
-            pos = negs[0]
-            xi = args[pos].payload
-            Xs = [args[k].payload.X for k in range(n) if k != pos]
-            sgn = -1 if pos % 2 else 1
-            return self._clamp(out_deg,
-                               sgn * self._nary_form(xi, Xs, False))
-        Xs = [a.payload.X for a in args]
+        # odd n >= 3: one closed form per slot that carries a form, the
+        # lower form's when there is one, else every section's alpha
         acc = Form.zero(self.ctx)
-        for i in range(n):
-            rest = [Xs[k] for k in range(n) if k != i]
-            term = self._nary_form(args[i].payload.alpha, rest, True)
-            acc = acc + (-1 if i % 2 else 1) * term
-        hc = Fraction(n) * bernoulli(n - 1) * _eps(n)
-        iota_H = self.H
-        for X in Xs:
-            iota_H = contract(X, iota_H)
-        acc = acc + hc * iota_H
+        for i in negs or range(n):
+            xi = args[i].payload if negs else args[i].payload.alpha
+            rest = [args[k].payload.X for k in range(n) if k != i]
+            term = self._nary_form(xi, rest, not negs)
+            acc = acc - term if i % 2 else acc + term
+        if not negs:
+            iota_H = self.H
+            for a in args:
+                iota_H = contract(a.payload.X, iota_H)
+            acc = acc + Fraction(n) * bernoulli(n - 1) * _eps(n) * iota_H
         return self._clamp(out_deg, acc)
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .calculus import Form, MultiVec, VField, _wedge_idx
 from .courant import SectionEp
-from .poly import Context, Poly, _IntSum, _reduced
+from .poly import Context, Poly, _IntSum, _products, _reduced
 
 MAX_DEPTH = 100     # nested parentheses and unary minus signs
 MAX_EXPONENT = 64   # largest n in a power x^n
@@ -79,7 +79,7 @@ def tokenize(src: str):
 
 class _Terms(_IntSum):
     """Sum of rational * monomial * dx-word * Dx-word: an `_IntSum`
-    keyed by (dx word, Dx word, exponent tuple), each word sorted."""
+    keyed by ((dx word, Dx word), exponent tuple), each word sorted."""
 
     __slots__ = ("ctx",)
 
@@ -96,7 +96,7 @@ class _Terms(_IntSum):
         ``c`` is an int or Fraction."""
         exp = tuple(int(i == x) for i in ctx.axes())
         n, d = c.as_integer_ratio()
-        return _Terms(ctx, {(dx, Dx, exp): n} if n else {}, d)
+        return _Terms(ctx, {((dx, Dx), exp): n} if n else {}, d)
 
     def _like(self, num: dict, den: int = 1) -> "_Terms":
         return _Terms(self.ctx, num, den)
@@ -111,26 +111,24 @@ class _Terms(_IntSum):
     def times(self, other: "_Terms", warnings: list) -> "_Terms":
         """The product; each pair of words that repeats a factor is
         dropped with one line appended to ``warnings``."""
-        num: dict = {}
-        get = num.get
-        add = int.__add__
         dropped = set()
-        for (fa, va, ea), ca in self._num.items():
-            for (fb, vb, eb), cb in other._num.items():
-                sf, f = _wedge_idx(fa, fb)
-                sv, v = _wedge_idx(va, vb)
-                if sf and sv:
-                    key = (f, v, tuple(map(add, ea, eb)))
-                    num[key] = get(key, 0) + sf * sv * ca * cb
-                elif (fa, va, fb, vb) not in dropped:
-                    dropped.add((fa, va, fb, vb))
-                    word = fa + fb if sf == 0 else va + vb
-                    warnings.append(
-                        "repeated factor normalizes to zero: "
-                        + "^".join(("dx" if sf == 0 else "Dx") + str(i)
-                                   for i in word))
-        return _Terms(self.ctx, {k: n for k, n in num.items() if n},
-                      self._den * other._den)
+
+        def rule(wa, wb):
+            (fa, va), (fb, vb) = wa, wb
+            sf, f = _wedge_idx(fa, fb)
+            sv, v = _wedge_idx(va, vb)
+            if sf and sv:
+                return sf * sv, (f, v)
+            if (wa, wb) not in dropped:
+                dropped.add((wa, wb))
+                word = fa + fb if sf == 0 else va + vb
+                warnings.append(
+                    "repeated factor normalizes to zero: "
+                    + "^".join(("dx" if sf == 0 else "Dx") + str(i)
+                               for i in word))
+            return 0, None
+
+        return _Terms(self.ctx, *_products(self, other, rule))
 
 
 class _Parser:
@@ -271,11 +269,11 @@ def parse_expression(src: str, ctx: Context, p: int | None = None):
     """
     parser = _Parser(src, ctx)
     t = parser.parse()
-    if any(f and v for f, v, _ in t._num):
+    if any(f and v for (f, v), _ in t._num):
         raise ParseError("cannot mix dx and Dx factors in one term", 1, 1)
-    form_num = {(f, e): n for (f, _, e), n in t._num.items() if f}
-    field_num = {(v, e): n for (_, v, e), n in t._num.items() if v}
-    scalar = Poly._raw(ctx, {e: n for (f, v, e), n in t._num.items()
+    form_num = {(f, e): n for ((f, _), e), n in t._num.items() if f}
+    field_num = {(v, e): n for ((_, v), e), n in t._num.items() if v}
+    scalar = Poly._raw(ctx, {e: n for ((f, v), e), n in t._num.items()
                              if not (f or v)}, t._den)
     form_degs = {len(f) for f, _ in form_num}
     field_degs = {len(v) for v, _ in field_num}

@@ -80,7 +80,8 @@ def _from_terms(terms) -> tuple:
 
 class _IntSum:
     """The int-numerator store that `Poly`, `graded.GPoly`, the
-    `calculus` forms and multivectors and the parser's sums share.
+    `calculus` forms and multivectors and the parser's sums share; all
+    but `Poly` key it by (word, exponent tuple).
 
     ``_num`` maps keys to nonzero `int` numerators and ``_den`` is the
     positive common denominator, with ``gcd(_den, *_num.values()) == 1``;
@@ -146,6 +147,61 @@ class _IntSum:
             return self if p == 1 else -self
         return self._like({k: p * c for k, c in self._num.items()},
                           self._den * q)
+
+
+# ---------------------------------------------------------------------
+# term-pair kernels for stores keyed by (word, exponent tuple): every
+# product and bracket of forms, multivectors, graded polynomials and the
+# parser's sums.  Each returns the (num, den) of its result over
+# a._den * b._den with zero numerators dropped, for `_raw` or `_like`.
+
+
+def _products(a: _IntSum, b: _IntSum, rule) -> tuple:
+    """The sum of sign * ca * cb at (word, ea + eb) over the terms
+    (wa, ea) of ``a`` and (wb, eb) of ``b``, where rule(wa, wb) =
+    (sign, word); a zero sign drops the pair."""
+    num: dict = {}
+    get = num.get
+    add = int.__add__
+    items = b._num.items()
+    for (wa, ea), ca in a._num.items():
+        for (wb, eb), cb in items:
+            sign, word = rule(wa, wb)
+            if sign:
+                key = (word, tuple(map(add, ea, eb)))
+                num[key] = get(key, 0) + sign * ca * cb
+    return {k: n for k, n in num.items() if n}, a._den * b._den
+
+
+def _brackets(a: _IntSum, b: _IntSum, rule) -> tuple:
+    """The sum over the terms (wa, ea) of ``a`` and (wb, eb) of ``b`` of
+    the entries (src, j, sign, word) of rule(wa, wb): source 0 adds
+    sign * ca * cb at (word, ea + eb); source 1 (2) also multiplies by
+    eb[j] (ea[j]) and lowers exponent j of ea + eb by one, so it is the
+    term of a first-order derivative."""
+    num: dict = {}
+    get = num.get
+    add = int.__add__
+    items = b._num.items()
+    for (wa, ea), ca in a._num.items():
+        for (wb, eb), cb in items:
+            entries = rule(wa, wb)
+            if not entries:
+                continue
+            c = ca * cb
+            e = tuple(map(add, ea, eb))
+            for src, j, sign, word in entries:
+                if src:
+                    k = (eb if src == 1 else ea)[j]
+                    if not k:
+                        continue
+                    key = (word, e[:j] + (e[j] - 1,) + e[j + 1:])
+                    n = sign * k * c
+                else:
+                    key = (word, e)
+                    n = sign * c
+                num[key] = get(key, 0) + n
+    return {k: n for k, n in num.items() if n}, a._den * b._den
 
 
 class Poly(_IntSum):

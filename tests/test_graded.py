@@ -443,10 +443,12 @@ def _assert_stored(g, ref):
     def odd(gen):
         return graded._gen_degree(gen, g.r) % 2
 
-    assert g.terms == ref.terms and str(g) == str(ref)
+    # g keys its store (word, exponents), the reference (exponents, word)
+    swapped = {(e, word): c for (word, e), c in g.terms.items()}
+    assert swapped == ref.terms and str(g) == str(ref)
     assert type(g._den) is int and g._den > 0
     assert gcd(g._den, *g._num.values()) == 1
-    for (e, word), n in g._num.items():
+    for (word, e), n in g._num.items():
         assert type(n) is int and n != 0
         assert type(e) is tuple and len(e) == g.ctx.dim
         assert all(type(k) is int and k >= 0 for k in e)

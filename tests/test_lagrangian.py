@@ -7,6 +7,7 @@ import pytest
 
 from diracspace.poly import Context
 from diracspace.calculus import Form, MultiVec, contract
+from diracspace.courant import SectionPr, multi_bracket, multi_pairing
 from diracspace.lagrangian import (LagrangianPair, LinSubspace,
                                    _omega_extension_to_p_forms,
                                    _tuples, annihilator, classify, const,
@@ -272,6 +273,30 @@ def test_tier_requires_valid_range():
     L = random_lagrangian(rng, 3, 2)
     with pytest.raises(ValueError):
         multidirac_tier(L, 3)
+
+
+def test_tier_overflow_boundaries():
+    # at p = 3 the pairing and perp_tier take tiers with r + s = p + 1 and
+    # the bracket those with r + s - 1 = p; one step above each refuses
+    # with its own message.  perp_tier is refused on the zero subspace,
+    # where no pairing is taken, so its own guard is the one that acts.
+    ctx, p = Context(4), 3
+
+    def unit(r):
+        return SectionPr(p, r, MultiVec.basis(ctx, tuple(range(1, r + 1))),
+                         Form.basis(ctx, tuple(range(1, p + 2 - r))))
+
+    assert multi_pairing(unit(2), unit(2)).degree == 0
+    assert multi_bracket(unit(2), unit(2)).r == 3
+    L = LinSubspace(4, p, [[1] + [0] * 11], 2)
+    assert perp_tier(L, 2).r == 2
+    for r, s in ((2, 3), (3, 2)):
+        with pytest.raises(ValueError, match="tier overflow"):
+            multi_pairing(unit(r), unit(s))
+        with pytest.raises(ValueError, match="tier overflow"):
+            multi_bracket(unit(r), unit(s))
+        with pytest.raises(ValueError, match="tier overflow"):
+            perp_tier(LinSubspace(4, p, [], s), r)
 
 
 def test_extend_to_form_vanishes_on_the_complement():
