@@ -19,7 +19,7 @@ from itertools import combinations
 from math import lcm
 
 from .poly import (Context, Poly, _IntSum, _as_rat, _brackets, _from_terms,
-                   _products, _reduced)
+                   _layout, _overflow, _poly_str, _products, _reduced)
 
 
 def _sort_sign(seq, odd=None):
@@ -62,7 +62,7 @@ def _kind(a) -> type:
 
 class _Graded(_IntSum):
     """Shared storage for forms and multivectors: an `_IntSum` keyed by
-    (index tuple, exponent tuple), with its context and degree.
+    (index tuple, packed exponents), with its context and degree.
 
     ``_prefix`` names the basis ("dx" or "Dx") and is the kind that
     equality and hashing compare, so subclasses of one kind are equal
@@ -97,8 +97,8 @@ class _Graded(_IntSum):
     @classmethod
     def _raw(cls, ctx: Context, degree: int, num: dict, den: int = 1):
         """Trusted constructor for results: ``num`` maps (strictly
-        increasing in-range index tuple of length ``degree``, exponent
-        tuple) keys to nonzero ints over a positive ``den``, so nothing
+        increasing in-range index tuple of length ``degree``, packed
+        exponents) keys to nonzero ints over a positive ``den``, so nothing
         is re-validated (a VField is built as well)."""
         out = object.__new__(cls)
         out.ctx = ctx
@@ -132,7 +132,7 @@ class _Graded(_IntSum):
                 for idx, num in parts.items()}
 
     def is_constant(self) -> bool:
-        return not any(any(e) for _, e in self._num)
+        return not any(e for _, e in self._num)
 
     def as_degree(self, k: int, what: str):
         """This value as one of degree ``k``: itself when its degree is
@@ -183,17 +183,20 @@ class _Graded(_IntSum):
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
-        one = {(0,) * self.ctx.dim: 1}
+        comps: dict = {}
+        for (idx, e), n in self._num.items():
+            comps.setdefault(idx, {})[e] = n
+        den, one = self._den, {0: self._den}
         parts = []
-        comps = self.comps
         for idx in sorted(comps):
-            c = comps[idx]
+            num = comps[idx]
+            c = _poly_str(self.ctx, num, den)
             basis = "^".join(f"{self._prefix}{i}" for i in idx)
             if not basis:
-                parts.append(str(c))
-            elif c._den == 1 and c._num == one:
+                parts.append(c)
+            elif num == one:
                 parts.append(basis)
-            elif len(c._num) == 1:
+            elif len(num) == 1:
                 parts.append(f"{c}*{basis}")
             else:
                 parts.append(f"({c})*{basis}")
@@ -264,14 +267,13 @@ class VField(MultiVec):
 def const(cls: type, ctx: Context, degree: int, coords):
     """The constant ``cls`` (Form, MultiVec or VField) of ``degree`` with
     these int or Fraction coordinates, exactly one per component."""
-    zero = (0,) * ctx.dim
     idxs, coords = list(combinations(ctx.axes(), degree)), list(coords)
     if len(coords) != len(idxs):
         raise ValueError(f"{len(coords)} coordinates for the {len(idxs)} "
                          f"components of degree {degree} in dimension "
                          f"{ctx.dim}")
     return cls._raw(ctx, degree, *_from_terms(
-        ((idx, zero), *_as_rat(c).as_integer_ratio())
+        ((idx, 0), *_as_rat(c).as_integer_ratio())
         for idx, c in zip(idxs, coords)))
 
 
@@ -280,8 +282,8 @@ def coords(a: _Graded) -> list[Fraction]:
     if not a.is_constant():
         raise ValueError(f"coordinates of a non-constant "
                          f"{type(a).__name__}")
-    zero, num, den = (0,) * a.ctx.dim, a._num, a._den
-    return [Fraction(num.get((idx, zero), 0), den)
+    num, den = a._num, a._den
+    return [Fraction(num.get((idx, 0), 0), den)
             for idx in combinations(a.ctx.axes(), a.degree)]
 
 
@@ -347,17 +349,28 @@ def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:
 # derivatives and brackets
 
 
+@lru_cache(maxsize=4096)
+def _d_rule(idx: tuple, dim: int) -> tuple:
+    """(shift, unit, sign, word) of dx_i ^ dx_idx for each axis i not in
+    ``idx``, with the shift and unit of the field of x_i in the packed
+    exponents of ``dim`` variables."""
+    return tuple((sh, 1 << sh, *_wedge_idx((i,), idx))
+                 for i, sh in enumerate(_layout(dim).shifts, 1)
+                 if i not in idx)
+
+
 def deRham(a: Form) -> Form:
     deg = a.degree + 1
-    if deg > a.ctx.dim:
+    dim = a.ctx.dim
+    if deg > dim:
         return Form.zero(a.ctx, deg)
     num: dict = {}
     get = num.get
     for (idx, e), n in a._num.items():
-        for j, k in enumerate(e):
-            if k and j + 1 not in idx:
-                sign, merged = _wedge_idx((j + 1,), idx)
-                key = (merged, e[:j] + (k - 1,) + e[j + 1:])
+        for sh, unit, sign, merged in _d_rule(idx, dim):
+            k = e >> sh & 0x7FFF
+            if k:
+                key = (merged, e - unit)
                 num[key] = get(key, 0) + sign * k * n
     return Form._collect(a.ctx, deg, num, a._den)
 
@@ -373,14 +386,17 @@ def poincare_primitive(a: Form) -> Form:
     k = a.degree
     if k < 1:
         raise ValueError("primitives exist for forms of degree >= 1")
-    m = lcm(*[sum(e) + k for _, e in a._num])
+    unpack, shifts = a.ctx._layout.unpack, a.ctx._layout.shifts
+    weight = {e: sum(unpack(e)) + k for _, e in a._num}
+    m = lcm(*weight.values())
     num: dict = {}
     get = num.get
     for (idx, e), n in a._num.items():
-        n *= m // (sum(e) + k)
+        n *= m // weight[e]
         for t, i in enumerate(idx):
-            key = (idx[:t] + idx[t + 1:], e[:i - 1] + (e[i - 1] + 1,) + e[i:])
+            key = (idx[:t] + idx[t + 1:], e + (1 << shifts[i - 1]))
             num[key] = get(key, 0) + (-n if t % 2 else n)
+    _overflow([e for _, e in num], a.ctx._layout.guard)
     return Form._collect(a.ctx, k - 1, num, a._den * m)
 
 

@@ -30,8 +30,8 @@ from .calculus import (Form, VField, _sort_sign, contract, deRham,
                        lie_derivative)
 from .courant import SectionEp, dorfman
 from .linfty import GradedElem, TwistedSectionsFamily
-from .poly import (Context, _IntSum, _brackets, _from_terms, _products,
-                   _reduced, bernoulli)
+from .poly import (Context, _IntSum, _brackets, _from_terms, _pack,
+                   _products, _reduced, bernoulli)
 from .sampling import random_form, random_vfield
 
 _KIND_DEG = {"v": lambda r: 1, "p": lambda r: r - 1, "P": lambda r: r}
@@ -51,8 +51,9 @@ def _normal(word: tuple, rp: int) -> tuple:
 class GPoly(_IntSum):
     """Polynomial in x_i, v_i, p_i, P_i.
 
-    Stored as an `_IntSum` keyed by (word, exponents), the word in
-    normal form; the constructor takes (exponents, generators) keys.
+    Stored as an `_IntSum` keyed by (word, packed exponents), the word
+    in normal form; the constructor takes (exponent tuple, generators)
+    keys.
     """
 
     __slots__ = ("r", "ctx")
@@ -61,16 +62,19 @@ class GPoly(_IntSum):
         self.r = r
         self.ctx = ctx
         rows = []
-        for (e, gens), c in (terms or {}).items():
+        for key, c in (terms or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError("expected an integer or Fraction, got "
                                 f"{type(c).__name__}")
-            e = tuple(e)
-            if len(e) != ctx.dim or min(e) < 0:
-                raise ValueError(f"bad exponent vector {e} for dim {ctx.dim}")
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"bad key {key}: expected (exponents, "
+                                 "generators)")
+            e, gens = key
+            e = _pack(ctx, e)
             for g in gens:
-                if not (len(g) == 2 and g[0] in _KIND_DEG
-                        and isinstance(g[1], int) and 0 <= g[1] < ctx.dim):
+                if not (isinstance(g, tuple) and len(g) == 2
+                        and g[0] in _KIND_DEG and isinstance(g[1], int)
+                        and 0 <= g[1] < ctx.dim):
                     raise ValueError(f"bad generator {g} for dim {ctx.dim}")
             sign, word = _normal(tuple(gens), r % 2)
             n, d = c.as_integer_ratio()
@@ -127,11 +131,13 @@ class GPoly(_IntSum):
         if self.is_zero():
             return "0"
         bits = []
-        # printed in (exponents, word) order
+        unpack = self.ctx._layout.unpack
+        # printed in (exponents, word) order: packed keys order like their
+        # tuples
         for (e, gens), n in sorted(((e, w), n)
                                    for (w, e), n in self._num.items()):
             mono = "*".join([f"x{i+1}^{k}" if k > 1 else f"x{i+1}"
-                             for i, k in enumerate(e) if k]
+                             for i, k in enumerate(unpack(e)) if k]
                             + [f"{g[0]}{g[1]}" for g in gens]) or "1"
             bits.append(f"{Fraction(n, self._den)}*{mono}")
         return " + ".join(bits)

@@ -307,25 +307,43 @@ class TwistedSectionsFamily(MultibracketFamily):
                 or sum(d < 0 for d in degrees) >= 2)
 
     def _nary_form(self, xi: Form, Xs: list[VField], full: bool) -> Form:
-        # [xi, X_0, ..., X_{k-1}] for odd n = k + 1 >= 3, in closed form
-        k = len(Xs)
-        coeff = Fraction(-2, k * (k - 1)) * bernoulli(k) * _eps(k + 1)
+        """[xi, X_0, ..., X_{k-1}] for odd n = k + 1 >= 3, in closed
+        form."""
+        return self._nary_sum([None, *Xs], {0: xi}, full)
 
-        def iota(skip, form):  # contract the fields not in skip, in order
-            for m, X in enumerate(Xs):
-                if m not in skip:
-                    form = contract(X, form)
-            return form
+    def _nary_sum(self, Xs: list, forms: dict, full: bool) -> Form:
+        """The sum over the slots i of ``forms`` of (-1)^i [forms[i],
+        Xs minus Xs[i]], each in closed form, with odd n = len(Xs) >= 3.
+        Both d and every contraction are linear, so the terms are summed
+        by the set of fields left to contract, and each set gets one d
+        and one contraction chain."""
+        n, k = len(Xs), len(Xs) - 1
+        inner: dict = {}   # fields left to contract -> form under d
 
-        i_xi = [contract(X, xi) for X in Xs]
-        acc = Fraction(k * (k - 1) * (2 + full), 2) * iota((), deRham(xi))
-        for m in range(k):
-            t = Fraction(3 * (k - 1), 2) * iota((m,), deRham(i_xi[m]))
-            acc = acc - t if m % 2 else acc + t
-        for i, j in itertools.combinations(range(k), 2):
-            t = iota((i, j), deRham(contract(Xs[i], i_xi[j])))
-            acc = acc - t if (i + j) % 2 else acc + t
-        return coeff * acc
+        def put(left, c, form):
+            inner[left] = inner[left] + c * form if left in inner else c * form
+
+        c_all = Fraction(k * (k - 1) * (2 + full), 2)
+        c_one = Fraction(3 * (k - 1), 2)
+        for i, xi in forms.items():
+            s = -1 if i % 2 else 1
+            rest = [m for m in range(n) if m != i]
+            put(tuple(rest), s * c_all, xi)
+            i_xi = {g: contract(Xs[g], xi) for g in rest}
+            for m, g in enumerate(rest):
+                put(tuple(rest[:m] + rest[m + 1:]), -s * c_one if m % 2
+                    else s * c_one, i_xi[g])
+            for (a, ga), (b, gb) in itertools.combinations(enumerate(rest),
+                                                           2):
+                put(tuple(g for g in rest if g not in (ga, gb)),
+                    -s if (a + b) % 2 else s, contract(Xs[ga], i_xi[gb]))
+        acc = Form.zero(self.ctx)
+        for left, form in inner.items():
+            form = deRham(form)
+            for g in left:
+                form = contract(Xs[g], form)
+            acc = acc + form
+        return Fraction(-2, k * (k - 1)) * bernoulli(k) * _eps(n) * acc
 
     def _bracket(self, args: list[GradedElem]) -> GradedElem:
         n = len(args)
@@ -345,12 +363,12 @@ class TwistedSectionsFamily(MultibracketFamily):
                                sgn * Fraction(1, 2) * lie_derivative(e.X, xi))
         # odd n >= 3: one closed form per slot that carries a form, the
         # lower form's when there is one, else every section's alpha
-        acc = Form.zero(self.ctx)
-        for i in negs or range(n):
-            xi = args[i].payload if negs else args[i].payload.alpha
-            rest = [args[k].payload.X for k in range(n) if k != i]
-            term = self._nary_form(xi, rest, not negs)
-            acc = acc - term if i % 2 else acc + term
+        if negs:
+            forms = {i: args[i].payload for i in negs}
+        else:
+            forms = {i: a.payload.alpha for i, a in enumerate(args)}
+        acc = self._nary_sum([None if d < 0 else a.payload.X
+                              for a, d in zip(args, degs)], forms, not negs)
         if not negs:
             iota_H = self.H
             for a in args:

@@ -11,8 +11,9 @@ parse o print o parse = parse.  Parentheses and unary minus signs nest at
 most ``MAX_DEPTH`` deep, a power ``^n`` has ``n <= MAX_EXPONENT``, and a
 product (each step of a power included) multiplies out at most
 ``MAX_TERMS`` pairs of terms, and all products of one parse at most
-``MAX_PARSE_TERMS``; beyond any of these, and on a zero denominator,
-parsing stops with a positioned ``ParseError``.
+``MAX_PARSE_TERMS``; beyond any of these, on an exponent above
+``poly.EXPONENT_CEILING`` and on a zero denominator, parsing stops with a
+positioned ``ParseError``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def tokenize(src: str):
 
 class _Terms(_IntSum):
     """Sum of rational * monomial * dx-word * Dx-word: an `_IntSum`
-    keyed by ((dx word, Dx word), exponent tuple), each word sorted."""
+    keyed by ((dx word, Dx word), packed exponents), each word sorted."""
 
     __slots__ = ("ctx",)
 
@@ -94,7 +95,7 @@ class _Terms(_IntSum):
              Dx: tuple = ()) -> "_Terms":
         """c times x_x (no variable when ``x`` is 0), ``dx`` and ``Dx``;
         ``c`` is an int or Fraction."""
-        exp = tuple(int(i == x) for i in ctx.axes())
+        exp = 1 << ctx._layout.shifts[x - 1] if x else 0
         n, d = c.as_integer_ratio()
         return _Terms(ctx, {((dx, Dx), exp): n} if n else {}, d)
 
@@ -154,8 +155,9 @@ class _Parser:
 
     def multiply(self, a: _Terms, b: _Terms, line: int, col: int) -> _Terms:
         """``a * b``, refused when it would multiply out more than
-        ``MAX_TERMS`` pairs of terms, or bring the parse past
-        ``MAX_PARSE_TERMS``."""
+        ``MAX_TERMS`` pairs of terms, bring the parse past
+        ``MAX_PARSE_TERMS``, or raise an exponent past
+        `poly.EXPONENT_CEILING`."""
         self.pairs += a.size() * b.size()
         if a.size() * b.size() > MAX_TERMS:
             raise ParseError(f"product of {a.size()} by {b.size()} terms "
@@ -163,7 +165,10 @@ class _Parser:
         if self.pairs > MAX_PARSE_TERMS:
             raise ParseError(f"products multiply out more than "
                              f"{MAX_PARSE_TERMS} pairs of terms", line, col)
-        return a.times(b, self.warnings)
+        try:
+            return a.times(b, self.warnings)
+        except ValueError as exc:   # an exponent past the ceiling
+            raise ParseError(str(exc), line, col) from None
 
     def descend(self):
         """Enter one more level of nesting at the current token."""

@@ -7,14 +7,43 @@ numerators over one positive common denominator: a map from exponent
 vectors to nonzero `int`s and a `den` with ``gcd(den, *numerators) == 1``,
 so each value has exactly one stored form.  The public surface reads and
 takes `Fraction`s.
+
+An exponent vector is stored packed into one int: each variable has a
+16-bit field, 15 value bits under one guard bit, and x1 sits in the
+highest field, so int order is the lex order of the exponent tuples.
+Adding two keys adds their vectors without a carry between fields, and
+an exponent above ``EXPONENT_CEILING`` sets a guard bit, which every
+producer of a key tests, so an overflow raises `ValueError` and nothing
+wraps.
 """
 
 from __future__ import annotations
 
+import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
+from operator import or_
+
+EXPONENT_CEILING = 0x7FFF   # largest exponent of one variable: 15 bits
+
+
+# the packed keys of one dimension: ``pack`` packs the exponents into
+# big-endian bytes of one 16-bit field per variable, ``guard`` is the
+# mask of the guard bits, ``shifts[j]`` the shift of the field of x(j+1),
+# and ``unpack`` maps a key to its exponent tuple
+_Layout = namedtuple("_Layout", "pack guard shifts unpack")
+
+
+@lru_cache(maxsize=None)
+def _layout(dim: int) -> _Layout:
+    codec = struct.Struct(f">{dim}H")
+    unpack, size = codec.unpack, codec.size
+    return _Layout(codec.pack, int.from_bytes(b"\x80\0" * dim, "big"),
+                   tuple(16 * (dim - 1 - j) for j in range(dim)),
+                   lambda key: unpack(key.to_bytes(size, "big")))
 
 
 @dataclass(frozen=True)
@@ -26,6 +55,8 @@ class Context:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("patch dimension must be >= 1")
+        # the packed key layout: not a field, and shared by equal contexts
+        object.__setattr__(self, "_layout", _layout(self.dim))
 
     def var_name(self, i: int) -> str:
         return f"x{i}"
@@ -33,6 +64,27 @@ class Context:
     def axes(self) -> range:
         """Axis indices, 1-based."""
         return range(1, self.dim + 1)
+
+
+def _pack(ctx: Context, exp) -> int:
+    """The packed key of the exponent vector ``exp``; ValueError unless
+    it holds ``ctx.dim`` ints in 0..EXPONENT_CEILING."""
+    pack, guard, _, _ = ctx._layout
+    try:
+        key = int.from_bytes(pack(*exp), "big")
+    except (struct.error, TypeError):   # TypeError: not a sequence
+        key = guard
+    if key & guard:
+        raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}: "
+                         f"expected ints in 0..{EXPONENT_CEILING}")
+    return key
+
+
+def _overflow(keys, guard: int) -> None:
+    """Raise ValueError when a key of ``keys``, packed exponents that
+    are sums of valid keys, has an exponent above the ceiling."""
+    if reduce(or_, keys, 0) & guard:
+        raise ValueError(f"exponent above {EXPONENT_CEILING} in a product")
 
 
 def _as_rat(c) -> Fraction:
@@ -81,23 +133,27 @@ def _from_terms(terms) -> tuple:
 class _IntSum:
     """The int-numerator store that `Poly`, `graded.GPoly`, the
     `calculus` forms and multivectors and the parser's sums share; all
-    but `Poly` key it by (word, exponent tuple).
+    but `Poly` key it by (word, packed exponents), and `Poly` by the
+    packed exponents alone.
 
     ``_num`` maps keys to nonzero `int` numerators and ``_den`` is the
     positive common denominator, with ``gcd(_den, *_num.values()) == 1``;
-    zero is ``({}, 1)``.  A subclass supplies ``_check(other)``, which
-    raises `ValueError` on an operand of another class or context, and
-    ``_like(num, den)``, which builds a result of its own kind from a map
-    of nonzero numerators over a positive ``den`` through `_reduced`.
+    zero is ``({}, 1)``.  A subclass has a ``ctx`` and supplies
+    ``_check(other)``, which raises `ValueError` on an operand of another
+    class or context, and ``_like(num, den)``, which builds a result of
+    its own kind from a map of nonzero numerators over a positive ``den``
+    through `_reduced`.
     """
 
     __slots__ = ("_num", "_den")
 
     @property
     def terms(self) -> dict:
-        """A fresh map from keys to nonzero Fraction coefficients."""
-        den = self._den
-        return {k: Fraction(n, den) for k, n in self._num.items()}
+        """A fresh map from (word, exponent tuple) keys to nonzero
+        Fraction coefficients."""
+        den, unpack = self._den, self.ctx._layout.unpack
+        return {(w, unpack(e)): Fraction(n, den)
+                for (w, e), n in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -150,65 +206,96 @@ class _IntSum:
 
 
 # ---------------------------------------------------------------------
-# term-pair kernels for stores keyed by (word, exponent tuple): every
+# term-pair kernels for stores keyed by (word, packed exponents): every
 # product and bracket of forms, multivectors, graded polynomials and the
 # parser's sums.  Each returns the (num, den) of its result over
-# a._den * b._den with zero numerators dropped, for `_raw` or `_like`.
+# a._den * b._den with zero numerators dropped, for `_raw` or `_like`,
+# and raises ValueError when the exponents of a pair of terms add past
+# the ceiling.  The terms of ``b`` are grouped by word once, so the rule
+# is read once per term of ``a`` and word of ``b``.
+
+
+def _by_word(b: _IntSum) -> dict:
+    """The terms of ``b`` as {word: [(packed exponents, numerator)]}."""
+    groups: dict = {}
+    for (w, e), n in b._num.items():
+        groups.setdefault(w, []).append((e, n))
+    return groups
+
+
+def _done(num: dict, ctx: Context, den: int) -> tuple:
+    """(num, den) with the zero numerators of ``num`` dropped, after the
+    ceiling test of every exponent summed."""
+    _overflow([e for _, e in num], ctx._layout.guard)
+    return {k: n for k, n in num.items() if n}, den
 
 
 def _products(a: _IntSum, b: _IntSum, rule) -> tuple:
     """The sum of sign * ca * cb at (word, ea + eb) over the terms
     (wa, ea) of ``a`` and (wb, eb) of ``b``, where rule(wa, wb) =
     (sign, word); a zero sign drops the pair."""
+    if not (a._num and b._num):
+        return {}, 1
     num: dict = {}
     get = num.get
-    add = int.__add__
-    items = b._num.items()
+    groups = _by_word(b).items()
     for (wa, ea), ca in a._num.items():
-        for (wb, eb), cb in items:
+        for wb, terms in groups:
             sign, word = rule(wa, wb)
             if sign:
-                key = (word, tuple(map(add, ea, eb)))
-                num[key] = get(key, 0) + sign * ca * cb
-    return {k: n for k, n in num.items() if n}, a._den * b._den
+                c = sign * ca
+                for eb, cb in terms:
+                    key = (word, ea + eb)
+                    num[key] = get(key, 0) + c * cb
+    return _done(num, a.ctx, a._den * b._den)
 
 
 def _brackets(a: _IntSum, b: _IntSum, rule) -> tuple:
     """The sum over the terms (wa, ea) of ``a`` and (wb, eb) of ``b`` of
     the entries (src, j, sign, word) of rule(wa, wb): source 0 adds
     sign * ca * cb at (word, ea + eb); source 1 (2) also multiplies by
-    eb[j] (ea[j]) and lowers exponent j of ea + eb by one, so it is the
-    term of a first-order derivative."""
+    the exponent of x(j+1) in eb (ea) and lowers it by one in ea + eb,
+    so it is the term of a first-order derivative."""
+    if not (a._num and b._num):
+        return {}, 1
     num: dict = {}
     get = num.get
-    add = int.__add__
-    items = b._num.items()
+    groups = _by_word(b).items()
+    shifts = a.ctx._layout.shifts
     for (wa, ea), ca in a._num.items():
-        for (wb, eb), cb in items:
-            entries = rule(wa, wb)
-            if not entries:
-                continue
-            c = ca * cb
-            e = tuple(map(add, ea, eb))
-            for src, j, sign, word in entries:
-                if src:
-                    k = (eb if src == 1 else ea)[j]
-                    if not k:
-                        continue
-                    key = (word, e[:j] + (e[j] - 1,) + e[j + 1:])
-                    n = sign * k * c
-                else:
-                    key = (word, e)
-                    n = sign * c
-                num[key] = get(key, 0) + n
-    return {k: n for k, n in num.items() if n}, a._den * b._den
+        for wb, terms in groups:
+            for src, j, sign, word in rule(wa, wb):
+                c = sign * ca
+                if not src:
+                    for eb, cb in terms:
+                        key = (word, ea + eb)
+                        num[key] = get(key, 0) + c * cb
+                    continue
+                # ea + eb - unit has no borrow: its field j is >= 1
+                sh = shifts[j]
+                base = ea - (1 << sh)
+                if src == 1:
+                    for eb, cb in terms:
+                        k = eb >> sh & 0x7FFF
+                        if k:
+                            key = (word, base + eb)
+                            num[key] = get(key, 0) + k * c * cb
+                    continue
+                k = ea >> sh & 0x7FFF
+                if k:
+                    c *= k
+                    for eb, cb in terms:
+                        key = (word, base + eb)
+                        num[key] = get(key, 0) + c * cb
+    return _done(num, a.ctx, a._den * b._den)
 
 
 class Poly(_IntSum):
     """Polynomial in x1..xn with rational coefficients.
 
-    Stored as an `_IntSum` keyed by exponent tuples of length n.
-    Instances are immutable by convention.
+    Stored as an `_IntSum` keyed by packed exponent vectors; ``terms``
+    and the constructor use exponent tuples of length n.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("ctx",)
@@ -221,9 +308,7 @@ class Poly(_IntSum):
                 _as_rat(c)  # raises the TypeError
             n, d = c.as_integer_ratio()
             # every key is checked, a zero coefficient's too
-            key = tuple(exp)
-            if len(key) != ctx.dim or min(key) < 0:
-                raise ValueError(f"bad exponent vector {exp} for dim {ctx.dim}")
+            key = _pack(ctx, exp)
             if n:
                 rows.append((key, n, d))
         self._num, self._den = _from_terms(rows)
@@ -235,18 +320,12 @@ class Poly(_IntSum):
     @staticmethod
     def _raw(ctx: Context, num: dict, den: int = 1) -> "Poly":
         """Trusted constructor for arithmetic results: ``num`` maps valid
-        exponent tuples to nonzero ints and ``den`` is positive; the
+        packed exponents to nonzero ints and ``den`` is positive; the
         content is divided out here."""
         out = object.__new__(Poly)
         out.ctx = ctx
         out._num, out._den = _reduced(num, den)
         return out
-
-    @staticmethod
-    def _collect(ctx: Context, num: dict, den: int = 1) -> "Poly":
-        """`_raw` of an accumulated map whose numerators may be zero: the
-        zeros are dropped here."""
-        return Poly._raw(ctx, {e: n for e, n in num.items() if n}, den)
 
     def _like(self, num: dict, den: int = 1) -> "Poly":
         return Poly._raw(self.ctx, num, den)
@@ -262,7 +341,7 @@ class Poly(_IntSum):
         c = _as_rat(c)
         if not c:
             return Poly._raw(ctx, {})
-        return Poly._raw(ctx, {(0,) * ctx.dim: c.numerator}, c.denominator)
+        return Poly._raw(ctx, {0: c.numerator}, c.denominator)
 
     @staticmethod
     def variable(ctx: Context, i: int) -> "Poly":
@@ -272,10 +351,18 @@ class Poly(_IntSum):
         exp[i - 1] = 1
         return Poly(ctx, {tuple(exp): Fraction(1)})
 
+    @property
+    def terms(self) -> dict:
+        """A fresh map from exponent tuples to nonzero Fraction
+        coefficients."""
+        den, unpack = self._den, self.ctx._layout.unpack
+        return {unpack(e): Fraction(n, den) for e, n in self._num.items()}
+
     # -- predicates ---------------------------------------------------
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._num)
+        # the one constant key is 0
+        return not any(self._num)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
@@ -285,9 +372,10 @@ class Poly(_IntSum):
         return Fraction(next(iter(self._num.values())), self._den)
 
     # -- arithmetic ---------------------------------------------------
-    # Results are built with _raw: sums and decrements of valid exponent
-    # vectors are valid, and every zero numerator is dropped where it
-    # arises, so no result needs the public constructor's checks.
+    # Results are built with _raw: sums of valid keys are tested against
+    # the ceiling, decrements are valid, and every zero numerator is
+    # dropped where it arises, so no result needs the public
+    # constructor's checks.
 
     def _check(self, other: "Poly"):
         if not isinstance(other, Poly):
@@ -304,12 +392,14 @@ class Poly(_IntSum):
             self._check(other)
             num: dict = {}
             get = num.get
-            add = int.__add__
+            items = other._num.items()
             for e1, c1 in self._num.items():
-                for e2, c2 in other._num.items():
-                    e = tuple(map(add, e1, e2))
+                for e2, c2 in items:
+                    e = e1 + e2
                     num[e] = get(e, 0) + c1 * c2
-            return Poly._collect(self.ctx, num, self._den * other._den)
+            _overflow(num, self.ctx._layout.guard)
+            return Poly._raw(self.ctx, {e: n for e, n in num.items() if n},
+                             self._den * other._den)
         return self._scale(other)
 
     __rmul__ = __mul__
@@ -327,9 +417,11 @@ class Poly(_IntSum):
         if not 1 <= i <= self.ctx.dim:
             raise ValueError(f"axis {i} out of range 1..{self.ctx.dim}")
         # lowering one axis is injective on the terms that have it
-        j = i - 1
-        return Poly._raw(self.ctx, {e[:j] + (e[j] - 1,) + e[j + 1:]: n * e[j]
-                                    for e, n in self._num.items() if e[j]},
+        sh = self.ctx._layout.shifts[i - 1]
+        unit = 1 << sh
+        return Poly._raw(self.ctx, {e - unit: n * k
+                                    for e, n in self._num.items()
+                                    if (k := e >> sh & 0x7FFF)},
                          self._den)
 
     def divide_exact(self, f: "Poly"):
@@ -367,40 +459,45 @@ class Poly(_IntSum):
         )
 
     def __hash__(self):
-        # the hash of the Fraction coefficients; an int hashes like the
-        # Fraction of the same value
-        items = self._num if self._den == 1 else self.terms
-        return hash((self.ctx, frozenset(items.items())))
+        return hash((self.ctx, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        den = self._den
-        out = ""
-        for exp in sorted(self._num, key=_grlex_key, reverse=True):
-            n = self._num[exp]
-            g = gcd(n, den)
-            a, d = abs(n) // g, den // g
-            coef = str(a) if d == 1 else f"{a}/{d}"
-            mono = "*".join(
-                f"{self.ctx.var_name(i + 1)}" + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(exp)
-                if k > 0
-            )
-            if not mono:
-                text = coef
-            elif a == 1 and d == 1:
-                text = mono
-            else:
-                text = f"{coef}*{mono}"
-            if not out:
-                out = ("-" if n < 0 else "") + text
-            else:
-                out += (" - " if n < 0 else " + ") + text
-        return out
+        return _poly_str(self.ctx, self._num, self._den)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _poly_str(ctx: Context, num: dict, den: int) -> str:
+    """The text of the polynomial with numerators ``num``, keyed by
+    packed exponents, over ``den``: its terms in graded lex order,
+    highest first."""
+    if not num:
+        return "0"
+    name = ctx.var_name
+    out = ""
+    # packed keys order like their tuples, and each is unpacked once, to
+    # print it
+    for _, _, exp, n in sorted(
+            [(sum(t), e, t, n) for (e, n), t in
+             zip(num.items(), map(ctx._layout.unpack, num))],
+            reverse=True):
+        g = gcd(n, den)
+        a, d = abs(n) // g, den // g
+        coef = str(a) if d == 1 else f"{a}/{d}"
+        mono = "*".join([name(i + 1) + (f"^{k}" if k > 1 else "")
+                         for i, k in enumerate(exp) if k])
+        if not mono:
+            text = coef
+        elif a == 1 and d == 1:
+            text = mono
+        else:
+            text = f"{coef}*{mono}"
+        if not out:
+            out = ("-" if n < 0 else "") + text
+        else:
+            out += (" - " if n < 0 else " + ") + text
+    return out
 
 
 def _grlex_key(exp):

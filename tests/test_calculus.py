@@ -13,7 +13,7 @@ from diracspace.calculus import (Form, MultiVec, VField, _contract_idx,
                                  poincare_primitive, schouten, wedge)
 from diracspace.sampling import (random_closed_form, random_form,
                                  random_multivec, random_poly, random_vfield)
-from test_poly import _assert_canonical
+from test_poly import _assert_canonical, _unpacked
 
 rng = random.Random(202)
 
@@ -340,7 +340,7 @@ def _assert_kernel_result(got, degree, want):
         assert not c.is_zero()
         _assert_canonical(c)
     # the flat store: nonzero int numerators over a content-free den,
-    # keyed by (index tuple, exponent tuple)
+    # keyed by (index tuple, packed exponents)
     num, den = got._num, got._den
     assert type(den) is int and den > 0
     assert all(type(n) is int and n != 0 for n in num.values())
@@ -350,8 +350,8 @@ def _assert_kernel_result(got, degree, want):
         assert all(type(i) is int for i in idx)
         assert all(a < b for a, b in zip(idx, idx[1:]))
         assert not idx or 1 <= idx[0] and idx[-1] <= got.ctx.dim
-        assert type(e) is tuple and len(e) == got.ctx.dim
-        assert all(type(k) is int and k >= 0 for k in e)
+    assert list(zip([i for i, _ in num], _unpacked(
+        got.ctx, [e for _, e in num]))) == list(got.terms)
     if type(got) is VField:
         rebuilt = VField(got.ctx, {i: c for (i,), c in got.comps.items()})
     else:
@@ -522,3 +522,31 @@ def test_const_refuses_a_coordinate_list_of_the_wrong_length():
         (1,): Poly.constant(ctx2, 1), (2,): Poly.constant(ctx2, 2)})
     assert str(const_vfield(ctx3, [1, 0, 2])) == str(
         const(VField, ctx3, 1, (1, 0, 2)))
+
+
+def test_exponent_ceiling_in_wedge_bracket_and_primitive():
+    # 32767 is the largest exponent a result may carry; one more raises
+    # ValueError instead of wrapping into the next variable's field
+    ctx = Context(2)
+
+    def x1(k):
+        return Poly(ctx, {(k, 0): 1})
+
+    dx2 = Form.basis(ctx, (2,))
+    assert wedge(Form.from_poly(x1(32766)), x1(1) * dx2) == x1(32767) * dx2
+    assert x1(32766) * (x1(1) * dx2) == x1(32767) * dx2
+    with pytest.raises(ValueError, match="above 32767"):
+        wedge(Form.from_poly(x1(32767)), x1(1) * dx2)
+    with pytest.raises(ValueError, match="above 32767"):
+        x1(32767) * (x1(1) * dx2)
+    X = VField(ctx, {1: x1(32767)})
+    assert lie_bracket(X, VField(ctx, {1: x1(1)})) == VField(
+        ctx, {1: -32766 * x1(32767)})
+    with pytest.raises(ValueError, match="above 32767"):
+        lie_bracket(X, VField(ctx, {1: x1(2)}))
+    dx1 = Form.basis(ctx, (1,))
+    prim = poincare_primitive(x1(32766) * dx1)
+    assert prim == Form.from_poly(Fraction(1, 32767) * x1(32767))
+    assert deRham(prim) == x1(32766) * dx1
+    with pytest.raises(ValueError, match="above 32767"):
+        poincare_primitive(x1(32767) * dx1)

@@ -33,6 +33,16 @@ def test_parse_command_bad_input(capsys):
     assert main(["parse", "x1 $", "--dim", "3"]) == 2
 
 
+def test_exponent_past_the_ceiling_exits_2(capsys):
+    assert main(["parse", "((x1^64)^64)^64", "--dim", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == ("error: exponent above 32767 in a product "
+                   "(line 1, column 14)\n")
+    assert main(["parse", "(x1^64)^2", "--dim", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["normalized"] == "x1^128"
+
+
 @pytest.mark.parametrize("argv", [
     ["parse", "x1", "--dim", "0"],
     ["check-morphism", "--sigma", "dx1^dx2", "--dim", "0"],
@@ -62,6 +72,7 @@ def test_parse_command_bad_input(capsys):
     ["parse", "1/0"],
     ["parse", "(" * 5000 + "x1" + ")" * 5000],
     ["parse", "x1^1000000"],
+    ["parse", "((x1^64)^64)^64", "--dim", "2"],
     ["parse", "((x1+x2+x3)^16)^16"],
     ["parse", "*".join(["(x1+x2+x3)^16"] * 16)],
     ["check-linfty", "--family", "observables", "--dim", "4", "--p", "2",

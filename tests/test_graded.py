@@ -15,6 +15,7 @@ from diracspace.graded import (GPoly, _binom2, decode, derived_check,
                                oracle_compare, s_poly, structure_constant)
 from diracspace.linfty import TwistedSectionsFamily
 from diracspace.sampling import random_form, random_poly, random_vfield
+from test_poly import _unpacked
 
 rng = random.Random(808)
 
@@ -450,9 +451,9 @@ def _assert_stored(g, ref):
     assert gcd(g._den, *g._num.values()) == 1
     for (word, e), n in g._num.items():
         assert type(n) is int and n != 0
-        assert type(e) is tuple and len(e) == g.ctx.dim
-        assert all(type(k) is int and k >= 0 for k in e)
         assert _sort_sign(word, odd) == (1, word)
+    assert list(zip([w for w, _ in g._num], _unpacked(
+        g.ctx, [e for _, e in g._num]))) == list(g.terms)
     assert g == GPoly(g.r, g.ctx, ref.terms)
 
 
@@ -497,3 +498,29 @@ def test_int_storage_matches_fraction_reference():
     for r, ctx in ((2, ctx3), (3, ctx4)):
         assert gbracket(s_poly(r, ctx), s_poly(r, ctx)).is_zero()
     assert live >= 3500 and cancelled >= 25
+
+
+def test_exponent_ceiling_in_gbracket():
+    # {x1^a p0, x1 v0} = x1^(a+1): a = 32766 is the largest that fits
+    ctx = Context(1)
+    v0, p0 = (("v", 0),), (("p", 0),)
+    b = GPoly(2, ctx, {((1,), v0): 1})
+    got = gbracket(GPoly(2, ctx, {((32766,), p0): 1}), b)
+    assert got == GPoly(2, ctx, {((32767,), ()): 1})
+    with pytest.raises(ValueError, match="above 32767"):
+        gbracket(GPoly(2, ctx, {((32767,), p0): 1}), b)
+
+
+def test_constructor_refuses_keys_of_the_wrong_shape():
+    # the store's own (word, exponents) keys, as `terms` gives them, are
+    # not constructor keys, and every exponent is an int
+    ctx = Context(2)
+    v0 = (("v", 0),)
+    S = s_poly(2, ctx)
+    with pytest.raises(ValueError):
+        GPoly(S.r, S.ctx, S.terms)
+    for terms in ({(v0, (0, 0)): 1}, {((1.0, 0), v0): 1},
+                  {((Fraction(1), 0), v0): 1}, {((0, 0), v0, ()): 1},
+                  {(0, 0): 1}, {((0, 0), (0, 0)): 1}):
+        with pytest.raises(ValueError):
+            GPoly(2, ctx, terms)

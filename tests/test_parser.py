@@ -176,6 +176,24 @@ def test_limits_are_inclusive():
     assert exc.value.col == 4
 
 
+def test_exponent_ceiling_is_a_positioned_parse_error():
+    # ((x1^64)^64)^8 = x1^32768 passes the 15 bits of a packed exponent
+    ctx = Context(2)
+    top = "((x1^64)^64)^7*(x1^64)^63*x1^63"
+    value, _ = parse_expression(top, ctx)
+    assert value == Poly(ctx, {(32767, 0): 1})
+    with pytest.raises(ParseError, match="above 32767") as exc:
+        parse_expression(top + "*x1", ctx)
+    assert (exc.value.line, exc.value.col) == (1, len(top) + 1)
+    with pytest.raises(ParseError, match="above 32767") as exc:
+        parse_expression("((x1^64)^64)^8", ctx)
+    assert exc.value.col == 14
+    with pytest.raises(ParseError, match="above 32767"):
+        parse_expression("((x1^64)^64)^64", ctx)
+    value, _ = parse_expression("(x1^64)^2*dx2", ctx)
+    assert str(value) == "x1^128*dx2"
+
+
 def test_product_term_limit_is_inclusive():
     # a sum of 100 distinct monomials, times itself, multiplies out
     # exactly MAX_TERMS pairs; one more term is refused at the "*"

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from diracspace.poly import Context, Poly, _from_terms, bernoulli
+from diracspace.poly import (EXPONENT_CEILING, Context, Poly, _from_terms,
+                             _pack, bernoulli)
 from diracspace.sampling import random_poly
 
 rng = random.Random(101)
@@ -77,6 +78,19 @@ def test_str_roundtrip_stability():
         assert str(a) == str(Poly(ctx, a.terms))
 
 
+def _unpacked(ctx: Context, keys) -> list:
+    """The exponent tuples of packed keys, each an int with the guard bits
+    clear that packs back to itself."""
+    guard, unpack = ctx._layout.guard, ctx._layout.unpack
+    out = []
+    for key in keys:
+        assert type(key) is int and key >= 0 and not key & guard
+        exp = unpack(key)
+        assert _pack(ctx, exp) == key
+        out.append(exp)
+    return out
+
+
 def _assert_canonical(p: Poly):
     dim = p.ctx.dim
     for exp, c in p.terms.items():
@@ -86,7 +100,7 @@ def _assert_canonical(p: Poly):
     assert type(p._den) is int and p._den > 0
     assert gcd(p._den, *p._num.values()) == 1
     assert all(type(n) is int and n != 0 for n in p._num.values())
-    assert p._num.keys() == p.terms.keys()
+    assert _unpacked(p.ctx, p._num) == list(p.terms)
     rebuilt = Poly(p.ctx, dict(p.terms))
     assert p == rebuilt and str(p) == str(rebuilt)
 
@@ -127,6 +141,35 @@ def test_public_constructor_rejects_bad_exponents():
         Poly(ctx, {(1, -1): 0})
     with pytest.raises(TypeError):
         Poly(ctx, {(1, 0): 0.5})
+
+
+def test_exponent_ceiling_in_constructor_and_product():
+    # 15 value bits per variable: 32767 is the largest exponent, and no
+    # key or product wraps into the next variable's field
+    ctx = Context(2)
+    assert EXPONENT_CEILING == 32767
+    top = Poly(ctx, {(32767, 0): 1})
+    assert top.terms == {(32767, 0): 1} and str(top) == "x1^32767"
+    for exp in ((32768, 0), (0, 32768), (65536, 0)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Poly(ctx, {exp: 1})
+    x1, x2 = Poly.variable(ctx, 1), Poly.variable(ctx, 2)
+    below = Poly(ctx, {(32766, 32767): 1})
+    assert (below * x1).terms == {(32767, 32767): 1}
+    assert (below * x1).partial(1).terms == {(32766, 32767): 32767}
+    with pytest.raises(ValueError, match="above 32767"):
+        below * x2
+    with pytest.raises(ValueError, match="above 32767"):
+        top * (x1 + x2)
+    with pytest.raises(ValueError, match="above 32767"):
+        top * top
+
+
+def test_non_int_exponents_are_refused():
+    ctx = Context(2)
+    for exp in ((1.0, 0), (Fraction(1), 0), ("1", 0), ((0,), 0)):
+        with pytest.raises(ValueError):
+            Poly(ctx, {exp: 1})
 
 
 # -- the integer kernel against a dict-of-Fraction model ----------------
