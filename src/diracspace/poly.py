@@ -37,7 +37,7 @@ EXPONENT_CEILING = 0x7FFF   # largest exponent of one variable: 15 bits
 _Layout = namedtuple("_Layout", "pack guard shifts unpack")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _layout(dim: int) -> _Layout:
     codec = struct.Struct(f">{dim}H")
     unpack, size = codec.unpack, codec.size
