@@ -14,20 +14,79 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, lcm
 
-from .calculus import (Form, MultiVec, VField, const, contract, coords,
-                       wedge)
+from .calculus import (Form, MultiVec, VField, _contract_idx, _wedge_idx,
+                       const, contract, coords)
 from .courant import SectionPr, multi_pairing
 from .linalg import kernel_basis, solve, span_basis, span_equal
 from .poly import Context, _as_rat
 
 
-def _tuples(n: int, k: int):
-    return list(itertools.combinations(range(1, n + 1), k))
+@lru_cache(maxsize=256)
+def _tuples(n: int, k: int) -> tuple:
+    """The increasing k-tuples of axes 1..n, in coordinate order."""
+    return tuple(itertools.combinations(range(1, n + 1), k))
 
 
 # -- constant-coefficient helpers -------------------------------------
+#
+# A constant form or multivector of degree k is a coordinate row, one
+# entry per tuple of `_tuples(n, k)`.  Products take the sparse dict
+# {index tuple: coefficient} of each factor and calculus's cached index
+# rules, so no Form or MultiVec is built.
+
+
+def _sparse(n: int, k: int, row) -> dict:
+    return {I: x for I, x in zip(_tuples(n, k), row) if x}
+
+
+def _dense(n: int, k: int, d: dict) -> list:
+    return [d.get(I, 0) for I in _tuples(n, k)]
+
+
+def _cprod(rule, a: dict, b: dict) -> dict:
+    """Product of two sparse coordinate dicts under the index rule
+    `_wedge_idx` (a ^ b) or `_contract_idx` (iota_a b)."""
+    out = {}
+    for I, x in a.items():
+        for J, y in b.items():
+            sgn, K = rule(I, J)
+            if sgn:
+                out[K] = out.get(K, 0) + sgn * x * y
+    return out
+
+
+def _iota(n: int, s, alpha, q: int) -> list:
+    """Coordinates of iota_s alpha for a vector s and a q-form alpha."""
+    return _dense(n, q - 1, _cprod(_contract_idx, _sparse(n, 1, s),
+                                   _sparse(n, q, alpha)))
+
+
+def _wedge_rows(n: int, rows, k: int) -> list[list]:
+    """Coordinates of the k-fold wedges of the rows (vectors or
+    covectors), one per k-combination in order.  The wedge of k vectors
+    has their k x k minors as coordinates, and a k-form evaluates on
+    them to the dot product with its own coordinates."""
+    vecs = [_sparse(n, 1, row) for row in rows]
+    out = []
+    for combo in itertools.combinations(vecs, k):
+        w = {(): 1}
+        for v in combo:
+            w = _cprod(_wedge_idx, w, v)
+        out.append(_dense(n, k, w))
+    return out
+
+
+def _int_row(row) -> list[int]:
+    """A rational row times the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def const_vfield(ctx: Context, vec) -> VField:
@@ -44,14 +103,7 @@ def form_eval(a: Form, vecs) -> Fraction:
 
 def wedges(cls, ctx: Context, rows, k: int) -> list:
     """All k-fold wedges of the constant degree-1 ``cls`` of the rows."""
-    ones = [const(cls, ctx, 1, row) for row in rows]
-    out = []
-    for combo in itertools.combinations(ones, k):
-        w = const(cls, ctx, 0, [1])
-        for f in combo:
-            w = wedge(w, f)
-        out.append(w)
-    return out
+    return [const(cls, ctx, k, w) for w in _wedge_rows(ctx.dim, rows, k)]
 
 
 # -- subspaces ---------------------------------------------------------
@@ -134,28 +186,86 @@ class LinSubspace:
                 f"dim={self.dim()})")
 
 
-def _unit_elements(n: int, p: int, r: int):
-    """Unit coordinate elements of /\\^r T + /\\^{p+1-r} T*."""
+@lru_cache(maxsize=64)
+def _pairing_tensor(n: int, p: int, r: int, s: int) -> tuple:
+    """Twice the pairing <<u_i, v_j>> of the unit elements u_i of tier r
+    with the unit elements v_j of tier s, read off `multi_pairing`.
+
+    Units are ordered as coordinates: the unit multivectors, then the
+    unit forms.  Entry j lists (i, t, 2 * coefficient) for the nonzero
+    coefficients of <<u_i, v_j>>, t indexing the unit (p+1-r-s)-forms;
+    every coefficient is +-1/2, so each stored int is +-1.  Only mixed
+    pairs are computed: in (iota_Yb eta - (-1)^{rs} iota_Y etab)/2 both
+    contractions meet a zero factor when both units are multivectors or
+    both are forms, so those pairs pair to zero.
+    """
     ctx = Context(n)
-    out = []
-    for idx in _tuples(n, r):
-        out.append((MultiVec.basis(ctx, idx), Form.zero(ctx, p + 1 - r)))
-    for idx in _tuples(n, p + 1 - r):
-        out.append((MultiVec.zero(ctx, r), Form.basis(ctx, idx)))
-    return out
+
+    def units(k):
+        return ([SectionPr(p, k, MultiVec.basis(ctx, I),
+                           Form.zero(ctx, p + 1 - k)) for I in _tuples(n, k)],
+                [SectionPr(p, k, MultiVec.zero(ctx, k), Form.basis(ctx, J))
+                 for J in _tuples(n, p + 1 - k)])
+
+    mv_r, fm_r = units(r)
+    mv_s, fm_s = units(s)
+    return tuple(
+        tuple((offset + i, t, int(2 * c))
+              for i, u in enumerate(partners)
+              for t, c in enumerate(coords(multi_pairing(u, v))) if c)
+        for vs, partners, offset in ((mv_s, fm_r, len(mv_r)),
+                                     (fm_s, mv_r, 0))
+        for v in vs)
 
 
-def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
-    """(L)^{perp,r}: all tier-r elements pairing to zero with L."""
+def _pairing_rows(L: LinSubspace, r: int) -> list[list[int]]:
+    """The int matrix of u -> <<u, b>> on tier r, up to row scaling: one
+    row per basis row b of L and unit (p+1-r-s)-form, one column per
+    tier-r unit.  Each b is scaled to integers first."""
     n, p, s = L.n, L.p, L.r
     if r + s > p + 1:
         raise ValueError("tier overflow: r + s > p + 1")
-    units = _unit_elements(n, p, r)
-    mem = [SectionPr(p, s, Y, eta) for Y, eta in L.members()]
-    cols = [[c for b in mem for c in coords(multi_pairing(
-        SectionPr(p, r, Y, eta), b))] for Y, eta in units]
-    return LinSubspace(n, p, kernel_basis(
-        [list(row) for row in zip(*cols)], len(units)), r)
+    if not 1 <= r <= p:
+        raise ValueError(f"tier {r} out of range 1..{p}")
+    tensor = _pairing_tensor(n, p, r, s)
+    amb = comb(n, r) + comb(n, p + 1 - r)
+    rows = []
+    for b in L.basis:
+        block = [[0] * amb for _ in range(comb(n, p + 1 - r - s))]
+        for x, entries in zip(_int_row(b), tensor):
+            if x:
+                for i, t, v in entries:
+                    block[t][i] += v * x
+        rows += block
+    return rows
+
+
+def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
+    """(L)^{perp,r}: all tier-r elements pairing to zero with L, the
+    kernel of the cached pairing tensor contracted with L's basis."""
+    n, p = L.n, L.p
+    # most rows repeat another up to a factor; each is reduced once
+    lines = {}
+    for row in _pairing_rows(L, r):
+        g = gcd(*row)
+        if g:
+            g = -g if next(x for x in row if x) < 0 else g
+            lines[tuple(x // g for x in row)] = None
+    return LinSubspace(n, p, kernel_basis([list(row) for row in lines],
+                                          comb(n, r) + comb(n, p + 1 - r)), r)
+
+
+def _tier1_pairings(L: LinSubspace):
+    """2<<a, b>> in coordinates for the basis rows a, b of a tier-1 L,
+    each scaled to integers, one unordered pair at a time: the r = s = 1
+    pairing is symmetric."""
+    rows = _pairing_rows(L, 1)
+    nt = comb(L.n, L.p - 1)
+    basis = [_int_row(a) for a in L.basis]
+    for j in range(len(basis)):
+        block = rows[j * nt:(j + 1) * nt]
+        for a in basis[:j + 1]:
+            yield [_dot(row, a) for row in block]
 
 
 def perp(L: LinSubspace) -> LinSubspace:
@@ -181,13 +291,10 @@ def classify(L: LinSubspace) -> dict:
     if L.r != 1:
         raise ValueError("classify acts on tier-1 subspaces")
     n, p = L.n, L.p
-    ctx = L.ctx
-    mem = [SectionPr(p, 1, Y, eta) for Y, eta in L.members()]
-    iso = all(multi_pairing(a, b).is_zero() for a in mem for b in mem)
+    iso = not any(any(pr) for pr in _tier1_pairings(L))
     lag = perp(L) == L
     S = L.tangent_part()
-    so = annihilator(n, S)
-    wp_so = span_basis([coords(f) for f in wedges(Form, ctx, so, p)])
+    wp_so = span_basis(_wedge_rows(n, annihilator(n, S), p))
     easy = (
         iso
         and L.form_intersection() == wp_so
@@ -254,27 +361,27 @@ def _tangent_rows(L: LinSubspace):
     if perp(L) != L:
         raise ValueError("input subspace is not Lagrangian")
     S = L.tangent_part()
-    return S, [const(Form, L.ctx, L.p, row[L.n:]) for row in L.basis[:len(S)]]
+    return S, [row[L.n:] for row in L.basis[:len(S)]]
 
 
 def to_pair(L: LinSubspace) -> LagrangianPair:
     """Extract (S, Omega): S is the tangent projection, and
     Omega(s_i, s_j) = iota_{s_j} alpha_i for any s_i + alpha_i in L."""
     S, alphas = _tangent_rows(L)
-    return LagrangianPair(L.n, L.p, S, {
-        (i, j): contract(const_vfield(L.ctx, S[j]), alphas[i])
+    n, p = L.n, L.p
+    return LagrangianPair(n, p, S, {
+        (i, j): const(Form, L.ctx, p - 1, _iota(n, S[j], alphas[i], p))
         for i, j in itertools.combinations(range(len(S)), 2)})
 
 
-def _contraction_rows(n: int, q: int, S) -> list[list[Fraction]]:
+def _contraction_rows(n: int, q: int, S) -> list[list]:
     """Matrix of a -> (iota_s a for s in S) on constant q-forms: one
     column per unit q-form, one row per s and (q-1)-tuple."""
-    ctx = Context(n)
-    units = [Form.basis(ctx, idx) for idx in _tuples(n, q)]
     rows = []
     for s in S:
-        X = const_vfield(ctx, s)
-        cols = [coords(contract(X, u)) for u in units]
+        sv = _sparse(n, 1, s)
+        cols = [_dense(n, q - 1, _cprod(_contract_idx, sv, {J: 1}))
+                for J in _tuples(n, q)]
         rows.extend([col[t] for col in cols] for t in range(comb(n, q - 1)))
     return rows
 
@@ -317,9 +424,9 @@ def extend_to_form(n: int, p: int, S, betas) -> Form:
         raise ValueError("one beta per S basis vector required")
     rhs = [c for b in betas for c in coords(b.as_degree(p, "a beta value"))]
     rows = _contraction_rows(n, p + 1, S)
-    units = [Form.basis(ctx, idx) for idx in _tuples(n, p + 1)]
-    for vecs in itertools.combinations(annihilator(n, S), p + 1):
-        rows.append([form_eval(u, vecs) for u in units])
+    # a unit (p+1)-form evaluates on p+1 vectors to their minor there
+    for minors in _wedge_rows(n, annihilator(n, S), p + 1):
+        rows.append(minors)
         rhs.append(Fraction(0))
     sol = solve(rows, rhs) if rows else []
     if sol is None:
@@ -339,29 +446,28 @@ def _normal_tier(n: int, p: int, S, alphas, r: int) -> LinSubspace:
     omega differs from iota_K alpha_i by iota_K xi_i, which lies in
     /\\^{p+1-r} S° and so already in D_r.
     """
-    ctx = Context(n)
-    elems = []
+    q = p + 1 - r
+    rows = []
     for s, alpha in zip(S, alphas):
-        sv = const_vfield(ctx, s)
+        sv, al = _sparse(n, 1, s), _sparse(n, p, alpha)
         for K in _tuples(n, r - 1):
-            eK = MultiVec.basis(ctx, K)
-            elems.append((wedge(sv, eK), contract(eK, alpha)))
-    for xi in wedges(Form, ctx, annihilator(n, S), p + 1 - r):
-        elems.append((MultiVec.zero(ctx, r), xi))
-    return LinSubspace.from_elements(n, p, elems, r)
+            eK = {K: 1}
+            rows.append(_dense(n, r, _cprod(_wedge_idx, sv, eK))
+                        + _dense(n, q, _cprod(_contract_idx, eK, al)))
+    zero = [0] * comb(n, r)
+    rows += [zero + xi for xi in _wedge_rows(n, annihilator(n, S), q)]
+    return LinSubspace(n, p, rows, r)
 
 
 def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}; a zero
     omega of any degree is the zero (p+1)-form, giving S + /\\^p S°."""
-    ctx = Context(n)
-    omega = omega.as_degree(p + 1, "omega")
+    omega = coords(omega.as_degree(p + 1, "omega"))
     S = span_basis([[_as_rat(x) for x in row] for row in S])
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
-    alphas = [contract(const_vfield(ctx, s), omega) for s in S]
-    return _normal_tier(n, p, S, alphas, 1)
+    return _normal_tier(n, p, S, [_iota(n, s, omega, p + 1) for s in S], 1)
 
 
 def from_pair(pair: LagrangianPair) -> LinSubspace:
@@ -376,7 +482,7 @@ def from_pair(pair: LagrangianPair) -> LinSubspace:
     betas = _omega_extension_to_p_forms(pair)
     if betas is None:
         raise ValueError("Omega is not the restriction of a full form")
-    return _normal_tier(n, p, pair.S, betas, 1)
+    return _normal_tier(n, p, pair.S, [coords(b) for b in betas], 1)
 
 
 # -- multi-Dirac tiers and the Nambu-type conditions -------------------
@@ -407,19 +513,15 @@ def nambu_dirac_check(L: LinSubspace) -> dict:
     if L.r != 1:
         raise ValueError("nambu_dirac_check acts on tier-1 subspaces")
     n, p = L.n, L.p
-    ctx = L.ctx
-    mem = L.members()
     S = L.tangent_part()
-    iso_weak = True
-    # the r = s = 1 pairing is symmetric, so unordered pairs suffice
-    for a, b in itertools.combinations_with_replacement(mem, 2):
-        pr = multi_pairing(SectionPr(p, 1, *a), SectionPr(p, 1, *b))
-        for combo in itertools.combinations(S, p - 1):
-            if form_eval(pr, list(combo)) != 0:
-                iso_weak = False
-    wp_s = span_basis([coords(Y) for Y in wedges(MultiVec, ctx, S, p)])
+    # a (p-1)-form evaluates on p - 1 vectors of S to the dot product
+    # with their wedge, whose coordinates are their minors
+    minors = _wedge_rows(n, S, p - 1)
+    iso_weak = not any(_dot(pr, m) for pr in _tier1_pairings(L)
+                       for m in minors)
     proj = perp_tier(L, p).tangent_part()
-    return {"iso_weak": iso_weak, "hismax": span_equal(wp_s, proj)}
+    return {"iso_weak": iso_weak,
+            "hismax": span_equal(_wedge_rows(n, S, p), proj)}
 
 
 def random_lagrangian(rng, n: int, p: int) -> LinSubspace:

@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Everything reduces to reduced
-row echelon form; subspaces compare by their canonical RREF basis.
+Matrices are lists of rows of Fractions.  `rref`, `kernel_basis` and
+`span_basis` also take rows of ints (or of both), since an int has a
+numerator and a denominator too; their results are Fractions either way.
+Everything reduces to reduced row echelon form; subspaces compare by
+their canonical RREF basis.
 """
 
 from __future__ import annotations

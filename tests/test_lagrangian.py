@@ -10,6 +10,7 @@ from diracspace.calculus import Form, MultiVec, contract
 from diracspace.courant import SectionPr, multi_bracket, multi_pairing
 from diracspace.lagrangian import (LagrangianPair, LinSubspace,
                                    _omega_extension_to_p_forms,
+                                   _pairing_tensor,
                                    _tuples, annihilator, classify, const,
                                    const_vfield, coords, extend_to_form,
                                    form_eval,
@@ -386,3 +387,108 @@ def test_non_lagrangian_input_is_refused():
     for r in (1, 2):
         with pytest.raises(ValueError, match="not Lagrangian"):
             multidirac_tier(L3, r)
+
+
+# -- the cached pairing tensor against the symbolic pairing ------------
+
+
+def _units(n, p, r):
+    """The unit tier-r elements in coordinate order: the unit
+    multivectors, then the unit forms."""
+    ctx = Context(n)
+    return ([SectionPr(p, r, MultiVec.basis(ctx, I), Form.zero(ctx, p + 1 - r))
+             for I in _tuples(n, r)]
+            + [SectionPr(p, r, MultiVec.zero(ctx, r), Form.basis(ctx, J))
+               for J in _tuples(n, p + 1 - r)])
+
+
+def test_pairing_tensor_is_the_pairing_on_unit_pairs():
+    seen = 0
+    for n in range(1, 5):
+        for p in range(1, n + 1):
+            for r in range(1, p + 1):
+                for s in range(1, p + 2 - r):
+                    us, vs = _units(n, p, r), _units(n, p, s)
+                    nt = comb(n, p + 1 - r - s)
+                    dense = [[[0] * nt for _ in us] for _ in vs]
+                    tensor = _pairing_tensor(n, p, r, s)
+                    assert len(tensor) == len(vs)
+                    for j, entries in enumerate(tensor):
+                        for i, t, v in entries:
+                            assert v in (1, -1) and dense[j][i][t] == 0
+                            dense[j][i][t] = v
+                    for j, v in enumerate(vs):
+                        for i, u in enumerate(us):
+                            assert [2 * c for c in coords(
+                                multi_pairing(u, v))] == dense[j][i]
+                    seen += 1
+    assert seen == 35
+
+
+def _symbolic_perp_tier(L, r):
+    """The kernel of the pairing with L, one `multi_pairing` per unit
+    and member, read back with `coords`."""
+    n, p, s = L.n, L.p, L.r
+    mem = [SectionPr(p, s, Y, eta) for Y, eta in L.members()]
+    units = _units(n, p, r)
+    cols = [[c for b in mem for c in coords(multi_pairing(u, b))]
+            for u in units]
+    return LinSubspace(n, p, kernel_basis(
+        [list(row) for row in zip(*cols)], len(units)), r)
+
+
+def _symbolic_isotropic(L):
+    mem = [SectionPr(L.p, 1, Y, eta) for Y, eta in L.members()]
+    return all(multi_pairing(a, b).is_zero() for a in mem for b in mem)
+
+
+def _symbolic_iso_weak(L):
+    mem = [SectionPr(L.p, 1, Y, eta) for Y, eta in L.members()]
+    S = L.tangent_part()
+    return all(form_eval(multi_pairing(a, b), list(combo)) == 0
+               for a in mem for b in mem
+               for combo in itertools.combinations(S, L.p - 1))
+
+
+def test_perp_and_isotropy_match_the_symbolic_pairing():
+    local = random.Random(2222)
+    subspaces = []
+    for n in range(1, 5):
+        for p in range(1, n + 1):
+            for r in range(1, p + 1):
+                amb = comb(n, r) + comb(n, p + 1 - r)
+                subspaces.append(LinSubspace(n, p, [], r))
+                for _ in range(3):
+                    subspaces.append(LinSubspace(
+                        n, p, _random_rows(local, amb), r))
+            L = random_lagrangian(local, n, p)
+            subspaces += [multidirac_tier(L, r) for r in range(1, p + 1)]
+            # a Lagrangian with one form-only row dropped is isotropic
+            # and not maximal
+            if L.form_intersection():
+                subspaces.append(LinSubspace(n, p, L.basis[:-1]))
+    verdicts = set()
+    for L in subspaces:
+        for r in range(1, L.p + 2 - L.r):
+            assert perp_tier(L, r) == _symbolic_perp_tier(L, r)
+        if L.r == 1:
+            iso = classify(L)["isotropic"]
+            assert iso == _symbolic_isotropic(L)
+            weak = nambu_dirac_check(L)["iso_weak"]
+            assert weak == _symbolic_iso_weak(L)
+            verdicts.add((iso, weak))
+    assert verdicts == {(True, True), (False, True), (False, False)}
+    assert any(any(x.denominator > 1 for row in L.basis for x in row)
+               for L in subspaces)
+
+
+def test_perp_tier_refuses_tiers_out_of_range():
+    L = random_lagrangian(random.Random(2223), 3, 2)
+    for M in (L, LinSubspace(3, 2, [])):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                perp_tier(M, r)
+        with pytest.raises(ValueError, match="tier overflow"):
+            perp_tier(M, 3)
+    with pytest.raises(ValueError, match="tier overflow"):
+        perp_tier(multidirac_tier(L, 2), 2)

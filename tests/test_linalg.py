@@ -161,3 +161,19 @@ def _reference_solve(rows, rhs):
     for i, pc in enumerate(pivots):
         x[pc] = red[i][ncols]
     return x
+
+
+def test_int_rows_reduce_like_their_fractions():
+    # rref, kernel_basis and span_basis read an int entry as the
+    # Fraction it equals, and return Fractions
+    local = random.Random(3030)
+    for _ in range(300):
+        m, n = local.randint(0, 6), local.randint(1, 7)
+        ints = [[local.randint(-4, 4) * local.choice([0, 1, 1, 6])
+                 for _ in range(n)] for _ in range(m)]
+        fracs = [[Fraction(x) for x in row] for row in ints]
+        R, pivots = rref(ints)
+        assert (R, pivots) == rref(fracs)
+        assert all(type(x) is Fraction for row in R for x in row)
+        assert kernel_basis(ints, n) == kernel_basis(fracs, n)
+        assert span_basis(ints) == span_basis(fracs)
