@@ -15,19 +15,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb
 
 from .calculus import (Form, MultiVec, VField, _contract_idx, _wedge_idx,
                        const, contract, coords)
 from .courant import SectionPr, multi_pairing
-from .linalg import kernel_basis, solve, span_basis, span_equal
+from .linalg import (distinct_lines, integer_row, kernel_basis, solve,
+                     span_basis, span_equal)
 from .poly import Context, _as_rat
 
 
-@lru_cache(maxsize=256)
-def _tuples(n: int, k: int) -> tuple:
+def _tuples(n: int, k: int) -> list:
     """The increasing k-tuples of axes 1..n, in coordinate order."""
-    return tuple(itertools.combinations(range(1, n + 1), k))
+    return list(itertools.combinations(range(1, n + 1), k))
 
 
 # -- constant-coefficient helpers -------------------------------------
@@ -79,12 +79,6 @@ def _wedge_rows(n: int, rows, k: int) -> list[list]:
     return out
 
 
-def _int_row(row) -> list[int]:
-    """A rational row times the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -99,11 +93,6 @@ def form_eval(a: Form, vecs) -> Fraction:
     for v in vecs:
         out = contract(const_vfield(a.ctx, v), out)
     return coords(out.as_degree(0, "the evaluated form"))[0]
-
-
-def wedges(cls, ctx: Context, rows, k: int) -> list:
-    """All k-fold wedges of the constant degree-1 ``cls`` of the rows."""
-    return [const(cls, ctx, k, w) for w in _wedge_rows(ctx.dim, rows, k)]
 
 
 # -- subspaces ---------------------------------------------------------
@@ -232,7 +221,7 @@ def _pairing_rows(L: LinSubspace, r: int) -> list[list[int]]:
     rows = []
     for b in L.basis:
         block = [[0] * amb for _ in range(comb(n, p + 1 - r - s))]
-        for x, entries in zip(_int_row(b), tensor):
+        for x, entries in zip(integer_row(b), tensor):
             if x:
                 for i, t, v in entries:
                     block[t][i] += v * x
@@ -244,15 +233,10 @@ def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
     """(L)^{perp,r}: all tier-r elements pairing to zero with L, the
     kernel of the cached pairing tensor contracted with L's basis."""
     n, p = L.n, L.p
-    # most rows repeat another up to a factor; each is reduced once
-    lines = {}
-    for row in _pairing_rows(L, r):
-        g = gcd(*row)
-        if g:
-            g = -g if next(x for x in row if x) < 0 else g
-            lines[tuple(x // g for x in row)] = None
-    return LinSubspace(n, p, kernel_basis([list(row) for row in lines],
-                                          comb(n, r) + comb(n, p + 1 - r)), r)
+    # at large n most rows are zero or repeat another up to a factor
+    rows = distinct_lines(_pairing_rows(L, r))
+    amb = comb(n, r) + comb(n, p + 1 - r)
+    return LinSubspace(n, p, kernel_basis(rows, amb), r)
 
 
 def _tier1_pairings(L: LinSubspace):
@@ -261,7 +245,7 @@ def _tier1_pairings(L: LinSubspace):
     pairing is symmetric."""
     rows = _pairing_rows(L, 1)
     nt = comb(L.n, L.p - 1)
-    basis = [_int_row(a) for a in L.basis]
+    basis = [integer_row(a) for a in L.basis]
     for j in range(len(basis)):
         block = rows[j * nt:(j + 1) * nt]
         for a in basis[:j + 1]:
@@ -291,8 +275,9 @@ def classify(L: LinSubspace) -> dict:
     if L.r != 1:
         raise ValueError("classify acts on tier-1 subspaces")
     n, p = L.n, L.p
-    iso = not any(any(pr) for pr in _tier1_pairings(L))
-    lag = perp(L) == L
+    P = perp(L)
+    lag = P == L
+    iso = span_basis(P.basis + L.basis) == P.basis   # L inside L^perp
     S = L.tangent_part()
     wp_so = span_basis(_wedge_rows(n, annihilator(n, S), p))
     easy = (
@@ -377,11 +362,11 @@ def to_pair(L: LinSubspace) -> LagrangianPair:
 def _contraction_rows(n: int, q: int, S) -> list[list]:
     """Matrix of a -> (iota_s a for s in S) on constant q-forms: one
     column per unit q-form, one row per s and (q-1)-tuple."""
+    m = comb(n, q)
+    units = [[int(i == j) for i in range(m)] for j in range(m)]
     rows = []
     for s in S:
-        sv = _sparse(n, 1, s)
-        cols = [_dense(n, q - 1, _cprod(_contract_idx, sv, {J: 1}))
-                for J in _tuples(n, q)]
+        cols = [_iota(n, s, u, q) for u in units]
         rows.extend([col[t] for col in cols] for t in range(comb(n, q - 1)))
     return rows
 

@@ -23,11 +23,7 @@ def rref(rows: list[list[Fraction]]):
     each pivot row is divided by its pivot once at the end, so the
     result is the canonical RREF over the rationals, in Fractions.
     """
-    m = []
-    for row in rows:
-        den = lcm(*[x.denominator for x in row])
-        m.append(_primitive([x.numerator * (den // x.denominator)
-                             for x in row]))
+    m = [_primitive(integer_row(row)) for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -53,10 +49,29 @@ def rref(rows: list[list[Fraction]]):
             for row, pc in zip(m, pivots)], pivots
 
 
+def integer_row(row) -> list[int]:
+    """A row of ints or Fractions times the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _primitive(row: list[int]) -> list[int]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
+
+
+def distinct_lines(rows: list[list[int]]) -> list[list[int]]:
+    """One row per line spanned by a nonzero integer row: each divided by
+    the gcd of its entries and signed to lead with a positive entry,
+    repeats and zero rows dropped.  The span is that of the rows."""
+    out = {}
+    for row in rows:
+        row = _primitive(row)
+        lead = next((a for a in row if a), 0)
+        if lead:
+            out[tuple(row) if lead > 0 else tuple(-a for a in row)] = None
+    return [list(row) for row in out]
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -1,7 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
-from diracspace.linalg import kernel_basis, rref, solve, span_basis, span_equal
+from math import gcd
+
+from diracspace.linalg import (distinct_lines, integer_row, kernel_basis, rref,
+                               solve, span_basis, span_equal)
 
 rng = random.Random(303)
 
@@ -177,3 +181,29 @@ def test_int_rows_reduce_like_their_fractions():
         assert all(type(x) is Fraction for row in R for x in row)
         assert kernel_basis(ints, n) == kernel_basis(fracs, n)
         assert span_basis(ints) == span_basis(fracs)
+
+
+def test_integer_row_clears_denominators():
+    assert integer_row([Fraction(1, 2), 3, Fraction(-2, 3)]) == [3, 18, -4]
+    assert integer_row([0, 5]) == [0, 5]
+    assert integer_row([]) == []
+
+
+def test_distinct_lines_keep_the_span():
+    local = random.Random(3031)
+    for _ in range(300):
+        m, n = local.randint(0, 8), local.randint(1, 5)
+        base = [[local.randint(-2, 2) for _ in range(n)]
+                for _ in range(local.randint(1, 3))]
+        rows = [[local.choice([-3, -1, 0, 2]) * x for x in local.choice(base)]
+                for _ in range(m)]
+        lines = distinct_lines(rows)
+        assert span_basis(lines) == span_basis(rows)
+        for row in lines:
+            assert gcd(*row) == 1 and next(a for a in row if a) > 0
+        # no line is listed twice, and every nonzero row lies on one
+        assert all(rank([a, b]) == 2
+                   for a, b in itertools.combinations(lines, 2))
+        for row in rows:
+            if any(row):
+                assert any(rank([row, line]) == 1 for line in lines)
