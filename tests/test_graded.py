@@ -198,6 +198,21 @@ def test_oracle_matches_direct_arity5():
     assert oracle_compare(F, tuples) == []
 
 
+def test_oracle_matches_direct_arity7(monkeypatch):
+    # about 2 s, so the library's cap stays at arity 5 and is raised here
+    # only; the first arity past 5 where the structure constant
+    # (B_6 / 6!) is nonzero
+    monkeypatch.setattr(graded, "ORACLE_MAX_ARITY", 7)
+    ctx6, wrng = Context(6), random.Random(1)
+    F = TwistedSectionsFamily(6, ctx6, None)
+    tup = [F.section(random_vfield(wrng, ctx6, 1),
+                     random_form(wrng, ctx6, 5, max_deg=1))
+           for _ in range(7)]
+    # 797 terms in the direct l_7
+    assert not F.l(tup).payload.is_zero()
+    assert oracle_compare(F, [tup]) == []
+
+
 def _permutation_oracle(r, ctx, elems, H=None):
     """Reference for ``oracle_bracket``: the same derived bracket as one
     nested ``gbracket`` chain per ordering that starts with a top-degree
