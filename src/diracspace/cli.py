@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -360,7 +361,10 @@ def cmd_oracle_compare(args) -> int:
     return _emit(reports, args.format)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parse keeps its
+    results in the fresh namespace it returns, never in the parser."""
     ap = argparse.ArgumentParser(
         prog="diracspace",
         description="verification suites for higher Dirac structures")
@@ -416,8 +420,11 @@ def main(argv=None) -> int:
     sp.add_argument("--arity-max", type=int, default=None)
     _common_flags(sp, trials=10)
     sp.set_defaults(func=cmd_oracle_compare)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "trials"):   # the flags of _common_flags
             _require(args.trials >= 1,

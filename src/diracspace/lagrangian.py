@@ -3,11 +3,13 @@
 Everything here is constant-coefficient: subspaces of the fiber
 T + /\\^p T* over a single point, encoded as rational coordinate vectors
 (the n T-coordinates first, then the C(n,p) form coordinates in
-increasing-tuple order).  Provides perps, the (S, Omega) bijection, the
-extension of a partial form to an honest alternating form, the normal
-presentation of a Lagrangian by (S, omega), the tier subspaces of the
-associated multi-Dirac family, and the weak-isotropy/maximality tests
-that distinguish this notion from Nambu-Dirac structures.
+increasing-tuple order); a subspace is kept as its canonical integer
+echelon rows (`linalg.echelon`), and is worked on in them.  Provides
+perps, the (S, Omega) bijection, the extension of a partial form to an
+honest alternating form, the normal presentation of a Lagrangian by
+(S, omega), the tier subspaces of the associated multi-Dirac family, and
+the weak-isotropy/maximality tests that distinguish this notion from
+Nambu-Dirac structures.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from math import comb
 from .calculus import (Form, MultiVec, VField, _contract_idx, _wedge_idx,
                        const, contract, coords)
 from .courant import SectionPr, multi_pairing
-from .linalg import (distinct_lines, integer_row, kernel_basis, solve,
-                     span_basis, span_equal)
+from .linalg import (distinct_lines, echelon, fraction_rows, int_kernel,
+                     kernel_basis, solve, solve_many, span_basis, span_equal)
 from .poly import Context, _as_rat
 
 
-def _tuples(n: int, k: int) -> list:
+@lru_cache(maxsize=256)
+def _tuples(n: int, k: int) -> tuple:
     """The increasing k-tuples of axes 1..n, in coordinate order."""
-    return list(itertools.combinations(range(1, n + 1), k))
+    return tuple(itertools.combinations(range(1, n + 1), k))
 
 
 # -- constant-coefficient helpers -------------------------------------
@@ -103,52 +106,69 @@ class LinSubspace:
     default, giving the ambient T + /\\^p T* of order p).
 
     Coordinates: the C(n,r) multivector components in increasing-tuple
-    order, then the C(n, p+1-r) form components likewise.  The basis is
-    kept in reduced echelon form, so equality is literal.
+    order, then the C(n, p+1-r) form components likewise.  The span is
+    kept as its canonical integer echelon rows and their pivots
+    (`linalg.echelon`), so equality is literal; `basis` is the reduced
+    echelon basis over the rationals, in Fractions.
     """
 
-    __slots__ = ("n", "p", "r", "basis")
+    __slots__ = ("n", "p", "r", "rows", "pivots")
 
     def __init__(self, n: int, p: int, basis, r: int = 1):
         if not 1 <= r <= p <= n:
             raise ValueError(f"need 1 <= r <= p <= n, got r={r}, p={p}, n={n}")
         self.n, self.p, self.r = n, p, r
         amb = self.ambient_dim()
-        rows = [[_as_rat(x) for x in row] for row in basis]
-        for row in rows:
+        basis = [list(row) for row in basis]
+        for row in basis:
             if len(row) != amb:
                 raise ValueError(f"vector length {len(row)}, ambient {amb}")
-        self.basis = span_basis(rows)
+            for x in row:
+                if type(x) is not int:
+                    _as_rat(x)   # refuses what is not an int or Fraction
+        self.rows, self.pivots = echelon(basis)
 
     @property
     def ctx(self) -> Context:
         return Context(self.n)
 
+    @property
+    def basis(self) -> list[list[Fraction]]:
+        """The canonical reduced echelon basis, in Fractions."""
+        return fraction_rows(self.rows, self.pivots)
+
     def ambient_dim(self) -> int:
         return comb(self.n, self.r) + comb(self.n, self.p + 1 - self.r)
 
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LinSubspace)
             and (self.n, self.p, self.r) == (other.n, other.p, other.r)
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
         return hash((self.n, self.p, self.r,
-                     tuple(tuple(row) for row in self.basis)))
+                     tuple(tuple(row) for row in self.rows)))
 
     def members(self):
-        """Basis as (MultiVec, Form) pairs."""
-        ctx = self.ctx
-        nm = comb(self.n, self.r)
+        """Basis as (MultiVec, Form) pairs: each echelon row over its
+        pivot, written straight on the store as `const` writes it."""
+        ctx, r, q = self.ctx, self.r, self.p + 1 - self.r
+        mv_keys = [(I, 0) for I in _tuples(self.n, r)]
+        fm_keys = [(J, 0) for J in _tuples(self.n, q)]
+        nm = len(mv_keys)
         out = []
-        for row in self.basis:
-            out.append((const(MultiVec, ctx, self.r, row[:nm]),
-                        const(Form, ctx, self.p + 1 - self.r, row[nm:])))
+        for row, pc in zip(self.rows, self.pivots):
+            pv = row[pc]
+            out.append((
+                MultiVec._raw(ctx, r, {k: a for k, a in zip(mv_keys, row)
+                                       if a}, pv),
+                Form._raw(ctx, q, {k: a for k, a in zip(fm_keys, row[nm:])
+                                   if a}, pv)))
         return out
 
     @staticmethod
@@ -160,15 +180,21 @@ class LinSubspace:
     # The basis is in echelon form with the multivector block first, so the
     # rows that pivot there come first, and the rest are zero on that block.
 
+    def _blocks(self, rows):
+        """The echelon ``rows`` (`rows` or `basis`) cut in two: the
+        multivector block of those that pivot there, and the form block
+        of the rest, each again in echelon form."""
+        nm = comb(self.n, self.r)
+        return ([row[:nm] for row in rows if any(row[:nm])],
+                [row[nm:] for row in rows if not any(row[:nm])])
+
     def tangent_part(self):
         """Canonical basis of the projection onto the multivector factor."""
-        nm = comb(self.n, self.r)
-        return [row[:nm] for row in self.basis if any(row[:nm])]
+        return self._blocks(self.basis)[0]
 
     def form_intersection(self):
         """Canonical basis of L intersected with the form factor."""
-        nm = comb(self.n, self.r)
-        return [row[nm:] for row in self.basis if not any(row[:nm])]
+        return self._blocks(self.basis)[1]
 
     def __repr__(self):
         return (f"LinSubspace(n={self.n}, p={self.p}, r={self.r}, "
@@ -209,8 +235,8 @@ def _pairing_tensor(n: int, p: int, r: int, s: int) -> tuple:
 
 def _pairing_rows(L: LinSubspace, r: int) -> list[list[int]]:
     """The int matrix of u -> <<u, b>> on tier r, up to row scaling: one
-    row per basis row b of L and unit (p+1-r-s)-form, one column per
-    tier-r unit.  Each b is scaled to integers first."""
+    row per echelon row b of L and unit (p+1-r-s)-form, one column per
+    tier-r unit."""
     n, p, s = L.n, L.p, L.r
     if r + s > p + 1:
         raise ValueError("tier overflow: r + s > p + 1")
@@ -219,9 +245,9 @@ def _pairing_rows(L: LinSubspace, r: int) -> list[list[int]]:
     tensor = _pairing_tensor(n, p, r, s)
     amb = comb(n, r) + comb(n, p + 1 - r)
     rows = []
-    for b in L.basis:
+    for b in L.rows:
         block = [[0] * amb for _ in range(comb(n, p + 1 - r - s))]
-        for x, entries in zip(integer_row(b), tensor):
+        for x, entries in zip(b, tensor):
             if x:
                 for i, t, v in entries:
                     block[t][i] += v * x
@@ -231,21 +257,21 @@ def _pairing_rows(L: LinSubspace, r: int) -> list[list[int]]:
 
 def perp_tier(L: LinSubspace, r: int) -> LinSubspace:
     """(L)^{perp,r}: all tier-r elements pairing to zero with L, the
-    kernel of the cached pairing tensor contracted with L's basis."""
+    kernel of the cached pairing tensor contracted with L's rows."""
     n, p = L.n, L.p
     # at large n most rows are zero or repeat another up to a factor
     rows = distinct_lines(_pairing_rows(L, r))
     amb = comb(n, r) + comb(n, p + 1 - r)
-    return LinSubspace(n, p, kernel_basis(rows, amb), r)
+    return LinSubspace(n, p, int_kernel(rows, amb), r)
 
 
 def _tier1_pairings(L: LinSubspace):
-    """2<<a, b>> in coordinates for the basis rows a, b of a tier-1 L,
-    each scaled to integers, one unordered pair at a time: the r = s = 1
-    pairing is symmetric."""
+    """2<<a, b>> in coordinates for the echelon rows a, b of a tier-1
+    L, one unordered pair at a time: the r = s = 1 pairing is
+    symmetric."""
     rows = _pairing_rows(L, 1)
     nt = comb(L.n, L.p - 1)
-    basis = [integer_row(a) for a in L.basis]
+    basis = L.rows
     for j in range(len(basis)):
         block = rows[j * nt:(j + 1) * nt]
         for a in basis[:j + 1]:
@@ -265,6 +291,12 @@ def annihilator(n: int, rows) -> list[list[Fraction]]:
     return kernel_basis([list(r) for r in rows], n)
 
 
+def _wedge_annihilator(n: int, rows, q: int) -> list[list[int]]:
+    """Int rows spanning /\\^q S°, S the span of ``rows``: the q-fold
+    wedges of the int kernel vectors."""
+    return _wedge_rows(n, int_kernel(rows, n), q)
+
+
 def classify(L: LinSubspace) -> dict:
     """Isotropy and two independent Lagrangian tests.
 
@@ -277,12 +309,11 @@ def classify(L: LinSubspace) -> dict:
     n, p = L.n, L.p
     P = perp(L)
     lag = P == L
-    iso = span_basis(P.basis + L.basis) == P.basis   # L inside L^perp
-    S = L.tangent_part()
-    wp_so = span_basis(_wedge_rows(n, annihilator(n, S), p))
+    iso = echelon(P.rows + L.rows)[0] == P.rows   # L inside L^perp
+    S, forms = L._blocks(L.rows)
     easy = (
         iso
-        and L.form_intersection() == wp_so
+        and forms == echelon(_wedge_annihilator(n, S, p))[0]
         and (len(S) <= n - p or len(S) == n)
     )
     return {"isotropic": iso, "lagrangian": lag, "easychar": easy}
@@ -340,19 +371,20 @@ class LagrangianPair:
         return f"LagrangianPair(n={self.n}, p={self.p}, dim S={len(self.S)})"
 
 
-def _tangent_rows(L: LinSubspace):
-    """S and the alpha_i with s_i + alpha_i in L: the echelon rows of L
-    that pivot in T.  Refuses an L that is not Lagrangian."""
+def _tangent_rows(L: LinSubspace, rows):
+    """S and the alpha_i with s_i + alpha_i in L, read off ``rows``,
+    L's echelon rows as ints (`rows`) or Fractions (`basis`): those that
+    pivot in T.  Refuses an L that is not Lagrangian."""
     if perp(L) != L:
         raise ValueError("input subspace is not Lagrangian")
-    S = L.tangent_part()
-    return S, [row[L.n:] for row in L.basis[:len(S)]]
+    S = L._blocks(rows)[0]
+    return S, [row[L.n:] for row in rows[:len(S)]]
 
 
 def to_pair(L: LinSubspace) -> LagrangianPair:
     """Extract (S, Omega): S is the tangent projection, and
     Omega(s_i, s_j) = iota_{s_j} alpha_i for any s_i + alpha_i in L."""
-    S, alphas = _tangent_rows(L)
+    S, alphas = _tangent_rows(L, L.basis)
     n, p = L.n, L.p
     return LagrangianPair(n, p, S, {
         (i, j): const(Form, L.ctx, p - 1, _iota(n, S[j], alphas[i], p))
@@ -376,19 +408,17 @@ def _omega_extension_to_p_forms(pair: LagrangianPair):
     for all i, j (including the diagonal zero); None if not extendable.
 
     The system is block-diagonal in i, with the same block for every i:
-    the rows of iota_{s_j} on unit p-forms, stacked over j.
+    the rows of iota_{s_j} on unit p-forms, stacked over j.  So one
+    reduction with a right-hand side per i solves it.
     """
     n, p = pair.n, pair.p
     k = len(pair.S)
-    rows = _contraction_rows(n, p, pair.S)
-    betas = []
-    for i in range(k):
-        rhs = [c for j in range(k) for c in coords(pair.omega_at(i, j))]
-        sol = solve(rows, rhs)
-        if sol is None:
-            return None
-        betas.append(const(Form, pair.ctx, p, sol))
-    return betas
+    rhss = [[c for j in range(k) for c in coords(pair.omega_at(i, j))]
+            for i in range(k)]
+    sols = solve_many(_contraction_rows(n, p, pair.S), rhss)
+    if sols is None:
+        return None
+    return [const(Form, pair.ctx, p, sol) for sol in sols]
 
 
 def extend_to_form(n: int, p: int, S, betas) -> Form:
@@ -410,7 +440,7 @@ def extend_to_form(n: int, p: int, S, betas) -> Form:
     rhs = [c for b in betas for c in coords(b.as_degree(p, "a beta value"))]
     rows = _contraction_rows(n, p + 1, S)
     # a unit (p+1)-form evaluates on p+1 vectors to their minor there
-    for minors in _wedge_rows(n, annihilator(n, S), p + 1):
+    for minors in _wedge_annihilator(n, S, p + 1):
         rows.append(minors)
         rhs.append(Fraction(0))
     sol = solve(rows, rhs) if rows else []
@@ -422,7 +452,7 @@ def extend_to_form(n: int, p: int, S, betas) -> Form:
 def _normal_tier(n: int, p: int, S, alphas, r: int) -> LinSubspace:
     """D_r = span{(s_i ^ K, iota_K alpha_i)} + /\\^{p+1-r} S°, with K over
     the unit (r-1)-vectors (at r = 1 the element is (s_i, alpha_i)), for
-    a canonical basis S of the tangent part of a Lagrangian L and any
+    an echelon basis S of the tangent part of a Lagrangian L and any
     p-forms alpha_i with s_i + alpha_i in L.
 
     Any such alpha_i will do: for omega presenting L, alpha_i =
@@ -440,7 +470,7 @@ def _normal_tier(n: int, p: int, S, alphas, r: int) -> LinSubspace:
             rows.append(_dense(n, r, _cprod(_wedge_idx, sv, eK))
                         + _dense(n, q, _cprod(_contract_idx, eK, al)))
     zero = [0] * comb(n, r)
-    rows += [zero + xi for xi in _wedge_rows(n, annihilator(n, S), q)]
+    rows += [zero + xi for xi in _wedge_annihilator(n, S, q)]
     return LinSubspace(n, p, rows, r)
 
 
@@ -448,7 +478,7 @@ def norom_subspace(n: int, p: int, S, omega: Form) -> LinSubspace:
     """L = {X + iota_X omega + alpha : X in S, alpha in /\\^p S°}; a zero
     omega of any degree is the zero (p+1)-form, giving S + /\\^p S°."""
     omega = coords(omega.as_degree(p + 1, "omega"))
-    S = span_basis([[_as_rat(x) for x in row] for row in S])
+    S = echelon([[_as_rat(x) for x in row] for row in S])[0]
     k = len(S)
     if not (k <= n - p or k == n):
         raise ValueError(f"dim S = {k} violates dim S <= {n - p} or S = T")
@@ -487,7 +517,7 @@ def multidirac_tier(L: LinSubspace, r: int) -> LinSubspace:
         raise ValueError("multidirac_tier starts from a tier-1 subspace")
     if not 1 <= r <= L.p:
         raise ValueError(f"tier {r} out of range 1..{L.p}")
-    S, alphas = _tangent_rows(L)
+    S, alphas = _tangent_rows(L, L.rows)
     return _normal_tier(L.n, L.p, S, alphas, r)
 
 
@@ -498,13 +528,14 @@ def nambu_dirac_check(L: LinSubspace) -> dict:
     if L.r != 1:
         raise ValueError("nambu_dirac_check acts on tier-1 subspaces")
     n, p = L.n, L.p
-    S = L.tangent_part()
+    S = L._blocks(L.rows)[0]
     # a (p-1)-form evaluates on p - 1 vectors of S to the dot product
     # with their wedge, whose coordinates are their minors
     minors = _wedge_rows(n, S, p - 1)
     iso_weak = not any(_dot(pr, m) for pr in _tier1_pairings(L)
                        for m in minors)
-    proj = perp_tier(L, p).tangent_part()
+    P = perp_tier(L, p)
+    proj = P._blocks(P.rows)[0]
     return {"iso_weak": iso_weak,
             "hismax": span_equal(_wedge_rows(n, S, p), proj)}
 
@@ -514,11 +545,9 @@ def random_lagrangian(rng, n: int, p: int) -> LinSubspace:
     ctx = Context(n)
     dims = list(range(0, n - p + 1)) + [n]
     k = rng.choice(dims)
-    S = span_basis([[Fraction(rng.randint(-3, 3)) for _ in range(n)]
-                    for _ in range(k)])
+    S = echelon([[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)])[0]
     while len(S) < k:
-        S = span_basis(S + [[Fraction(rng.randint(-3, 3))
-                             for _ in range(n)]])
+        S = echelon(S + [[rng.randint(-3, 3) for _ in range(n)]])[0]
     omega = const(Form, ctx, p + 1,
                   [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2]))
                    for _ in range(comb(n, p + 1))])

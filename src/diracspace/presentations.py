@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .calculus import Form, MultiVec, VField, contract, deRham, iota_form
 from .courant import SectionEp, dorfman, pairing
-from .linalg import solve
+from .linalg import solve_many
 from .poly import Context, Poly
 
 
@@ -207,7 +207,8 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
     with constant coefficients.  X ranges over S, and X + d alpha is a
     member exactly when iota_X omega + d alpha vanishes off the conormal
     p-tuples.  That splits into one rational linear system per monomial,
-    all sharing the constant coefficient matrix of omega.
+    all sharing the constant coefficient matrix of omega, so one
+    reduction with a right-hand side per monomial solves them all.
     """
     if not isinstance(P, Regular):
         raise ValueError("solving requires a form-graph or regular "
@@ -228,12 +229,12 @@ def hamiltonian_solve(P: Presentation, alpha: Form):
         cols.append([ij.get((idx, const), Fraction(0)) for idx in idxs])
     rows = [[col[t] for col in cols] for t in range(len(idxs))]
     monomials = sorted({e for idx, e in terms if idx not in P.conormal})
+    sols = solve_many(rows, [[terms.get((idx, e), Fraction(0))
+                              for idx in idxs] for e in monomials])
+    if sols is None:
+        return None
     field: dict = {}
-    for e in monomials:
-        rhs = [terms.get((idx, e), Fraction(0)) for idx in idxs]
-        sol = solve(rows, rhs)
-        if sol is None:
-            return None
+    for e, sol in zip(monomials, sols):
         for j, c in zip(P.S, sol):
             field.setdefault(j, {})[e] = c
     return VField(ctx, {j: Poly(ctx, t) for j, t in field.items()})

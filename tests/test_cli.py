@@ -283,3 +283,41 @@ def test_text_format(capsys):
     code = main(["parse", "x1 + x2", "--dim", "2", "--format", "text"])
     out = capsys.readouterr().out
     assert code == 0 and out.startswith("PASS")
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process; a parse keeps nothing in
+    # it, so each call gives what a freshly built parser gives
+    import diracspace.cli as cli
+
+    monkeypatch.delenv("DIRACSPACE_SEED", raising=False)
+    argvs = [
+        ["parse", "x1*dx2", "--dim", "2", "--format", "text"],
+        ["lagrangian-roundtrip", "--dim", "3", "--p", "2", "--trials", "3",
+         "--seed", "4"],
+        ["parse", "x1 $", "--dim", "3"],                 # bad input
+        ["multidirac-tiers", "--trials", "2"],           # defaults again
+        ["lagrangian-roundtrip", "--dims", "3"],         # argparse refuses
+        ["check-linfty", "--family", "getzler", "--trials", "2"],
+        ["parse", "dx1", "--dim", "2"],                  # json again
+        ["lagrangian-roundtrip", "--trials", "2"],       # seed and dim reset
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 0]
+    assert shared[-1][1].count('"seed": 0') == 2

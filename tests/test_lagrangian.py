@@ -504,3 +504,66 @@ def test_perp_tier_refuses_tiers_out_of_range():
             perp_tier(M, 3)
     with pytest.raises(ValueError, match="tier overflow"):
         perp_tier(multidirac_tier(L, 2), 2)
+
+
+def _members_by_const(L):
+    """members() as it was written over `calculus.const`: each RREF
+    basis row split into its multivector and form coordinates."""
+    ctx = L.ctx
+    nm = comb(L.n, L.r)
+    return [(const(MultiVec, ctx, L.r, row[:nm]),
+             const(Form, ctx, L.p + 1 - L.r, row[nm:])) for row in L.basis]
+
+
+def _admissible_subspaces(local, per_tier=3):
+    """Random subspaces of every admissible (n <= 4, p, r), the zero one
+    and the multi-Dirac tiers of a random Lagrangian among them."""
+    out = []
+    for n in range(1, 5):
+        for p in range(1, n + 1):
+            for r in range(1, p + 1):
+                amb = comb(n, r) + comb(n, p + 1 - r)
+                out.append(LinSubspace(n, p, [], r))
+                out += [LinSubspace(n, p, _random_rows(local, amb), r)
+                        for _ in range(per_tier)]
+            L = random_lagrangian(local, n, p)
+            out += [multidirac_tier(L, r) for r in range(1, p + 1)]
+    return out
+
+
+def test_members_are_the_const_members():
+    for L in _admissible_subspaces(random.Random(2727)):
+        got, want = L.members(), _members_by_const(L)
+        assert len(got) == len(want) == L.dim()
+        for (Y, eta), (Yr, etar) in zip(got, want):
+            for a, b in ((Y, Yr), (eta, etar)):
+                assert type(a) is type(b) and a.degree == b.degree
+                assert (a._num, a._den) == (b._num, b._den)
+                assert list(a._num) == list(b._num) and str(a) == str(b)
+
+
+def test_subspace_equality_is_equality_of_fraction_bases():
+    local = random.Random(2828)
+    equal = 0
+    for _ in range(300):
+        n = local.randint(1, 4)
+        p = local.randint(1, n)
+        r = local.randint(1, p)
+        amb = comb(n, r) + comb(n, p + 1 - r)
+        base = _random_rows(local, amb) or [[0] * amb]
+        # rational combinations of a few shared rows: equal spans are common
+        rows_a, rows_b = ([[sum(c * x for c, x in zip(cs, col))
+                            for col in zip(*base)]
+                           for cs in ([Fraction(local.randint(-2, 2),
+                                                local.choice([1, 2]))
+                                       for _ in base]
+                                      for _ in range(local.randint(0, 3)))]
+                          for _ in range(2))
+        A, B = LinSubspace(n, p, rows_a, r), LinSubspace(n, p, rows_b, r)
+        assert A.basis == span_basis(rows_a)
+        same = span_basis(rows_a) == span_basis(rows_b)
+        assert (A == B) == same and (B == A) == same
+        if same:
+            assert hash(A) == hash(B)
+            equal += A.dim() > 0
+    assert equal >= 30   # nonzero equal spans from different rows

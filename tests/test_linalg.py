@@ -4,8 +4,9 @@ from fractions import Fraction
 
 from math import gcd
 
-from diracspace.linalg import (distinct_lines, integer_row, kernel_basis, rref,
-                               solve, span_basis, span_equal)
+from diracspace.linalg import (distinct_lines, echelon, int_kernel,
+                               integer_row, kernel_basis, rref, solve,
+                               solve_many, span_basis, span_equal)
 
 rng = random.Random(303)
 
@@ -207,3 +208,78 @@ def test_distinct_lines_keep_the_span():
         for row in rows:
             if any(row):
                 assert any(rank([row, line]) == 1 for line in lines)
+
+
+def _echelon_cases(local):
+    """About 300 matrices: int, Fraction and mixed entries, zero and
+    repeated rows, and no rows at all."""
+    cases = []
+    for _ in range(300):
+        m, n = local.randint(0, 6), local.randint(1, 7)
+        A = _mixed_matrix(local, m, n) if m else []
+        kind = local.random()
+        if kind < 0.3:
+            A = [[int(x.numerator) for x in row] for row in A]
+        elif kind < 0.6:
+            A = [[int(x.numerator) if local.random() < 0.5 else x
+                  for x in row] for row in A]
+        cases.append((A, n))
+    return cases
+
+
+def test_echelon_rows_are_the_integer_rref_rows():
+    for A, n in _echelon_cases(random.Random(2424)):
+        rows, pivots = echelon(A)
+        want_R, want_pivots = reference_rref(A)
+        assert pivots == want_pivots
+        assert rows == [integer_row(row) for row in want_R]
+        for row, pc in zip(rows, pivots):
+            assert all(type(a) is int for a in row)
+            assert gcd(*row) == 1 and row[pc] > 0
+            assert not any(row[:pc])
+
+
+def _kernel_basis_by_rref(rows, ncols):
+    """kernel_basis as it was written over `rref`: per free column, the
+    vector that is 1 there, 0 at the other free columns and minus the
+    RREF entry at each pivot column."""
+    red, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def test_kernel_basis_is_the_int_kernel_over_its_free_entry():
+    for A, n in _echelon_cases(random.Random(2525)):
+        ker = kernel_basis(A, n)
+        assert ker == _kernel_basis_by_rref(A, n)
+        assert all(type(x) is Fraction for v in ker for x in v)
+        assert int_kernel(A, n) == [integer_row(v) for v in ker]
+
+
+def test_solve_many_is_solve_per_column():
+    local = random.Random(2626)
+    for A, n in _echelon_cases(local):
+        if not A:
+            assert solve_many(A, [[]]) is None and solve_many(A, []) == []
+            continue
+        m = len(A)
+        rhss = []
+        for _ in range(local.randint(0, 4)):
+            if local.random() < 0.7:   # consistent: b = A x0
+                x0 = [Fraction(local.randint(-3, 3), local.choice([1, 2]))
+                      for _ in range(n)]
+                rhss.append(mat_vec(A, x0))
+            else:
+                rhss.append([Fraction(local.randint(-3, 3))
+                             for _ in range(m)])
+        each = [solve(A, b) for b in rhss]
+        assert each == [_reference_solve(A, b) for b in rhss]
+        got = solve_many(A, rhss)
+        assert got == (None if None in each else each)
