@@ -19,7 +19,8 @@ from itertools import combinations
 from math import lcm
 
 from .poly import (Context, Poly, _IntSum, _as_rat, _brackets, _from_terms,
-                   _layout, _overflow, _poly_str, _products, _reduced)
+                   _layout, _overflow, _poly_str, _product_sum, _products,
+                   _reduced)
 
 
 def _sort_sign(seq, odd=None):
@@ -333,6 +334,25 @@ def contract(Y: MultiVec, a: Form) -> Form:
     if deg < 0:
         return Form.zero(a.ctx, deg)
     return Form._raw(a.ctx, deg, *_products(Y, a, _contract_idx))
+
+
+def contract_sum(ctx: Context, degree: int, parts, div: int = 1) -> Form:
+    """The sum of c * iota_Y a / div over the (int c, Y, a) of ``parts``,
+    each iota_Y a a form of ``degree``, in one pass of the product loop,
+    with no form built per part; ``div`` is a positive int.  A negative
+    ``degree`` gives the zero form of that degree, as `contract` does."""
+    parts = list(parts)
+    for _, Y, a in parts:
+        _check(Y, a, MultiVec, Form)
+        if a.ctx != ctx:
+            raise ValueError("context mismatch")
+        if a.degree - Y.degree != degree and Y._num and a._num:
+            raise ValueError(f"a contraction of degree {a.degree - Y.degree}"
+                             f" in a sum of degree {degree}")
+    if degree < 0:
+        return Form.zero(ctx, degree)
+    return Form._raw(ctx, degree, *_product_sum(parts, _contract_idx, ctx,
+                                                div))
 
 
 def iota_form(alpha: Form, pi: MultiVec) -> MultiVec:

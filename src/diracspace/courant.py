@@ -14,6 +14,7 @@ from .calculus import (
     MultiVec,
     VField,
     contract,
+    contract_sum,
     deRham,
     lie_bracket,
     lie_derivative,
@@ -95,7 +96,8 @@ class SectionEp:
 def pairing(e1: SectionEp, e2: SectionEp) -> Form:
     """<X+alpha, Y+beta> = iota_X beta + iota_Y alpha, a (p-1)-form."""
     e1._check(e2)
-    return contract(e1.X, e2.alpha) + contract(e2.X, e1.alpha)
+    return contract_sum(e1.ctx, e1.p - 1,
+                        [(1, e1.X, e2.alpha), (1, e2.X, e1.alpha)])
 
 
 def dorfman(e1: SectionEp, e2: SectionEp, H: Form | None = None) -> SectionEp:
@@ -189,7 +191,8 @@ def multi_pairing(a: SectionPr, b: SectionPr) -> Form:
     if r + s > a.p + 1:
         raise ValueError("tier overflow: r + s > p + 1")
     sgn = -1 if (r * s) % 2 else 1
-    return (contract(b.Y, a.eta) - sgn * contract(a.Y, b.eta)) * Fraction(1, 2)
+    return contract_sum(a.ctx, a.p + 1 - r - s,
+                        [(1, b.Y, a.eta), (-sgn, a.Y, b.eta)], div=2)
 
 
 def mv_lie_derivative(Y: MultiVec, eta: Form) -> Form:
@@ -232,7 +235,8 @@ def multi_bracket(a: SectionPr, b: SectionPr) -> SectionPr:
     form = (
         mv_lie_derivative(a.Y, b.eta)
         - mv_lie_derivative(b.Y, a.eta)
-        - Fraction(sgn_s, 2)
-        * deRham(contract(b.Y, a.eta) + sgn_rs * contract(a.Y, b.eta))
+        + deRham(contract_sum(a.ctx, p + 1 - r - s,
+                              [(-sgn_s, b.Y, a.eta),
+                               (-sgn_s * sgn_rs, a.Y, b.eta)], div=2))
     )
     return SectionPr(p, r + s - 1, sgn_cross * schouten(a.Y, b.Y), form)

@@ -112,7 +112,7 @@ class LinSubspace:
     echelon basis over the rationals, in Fractions.
     """
 
-    __slots__ = ("n", "p", "r", "rows", "pivots")
+    __slots__ = ("n", "p", "r", "rows", "pivots", "_members")
 
     def __init__(self, n: int, p: int, basis, r: int = 1):
         if not 1 <= r <= p <= n:
@@ -127,6 +127,7 @@ class LinSubspace:
                 if type(x) is not int:
                     _as_rat(x)   # refuses what is not an int or Fraction
         self.rows, self.pivots = echelon(basis)
+        self._members = None
 
     @property
     def ctx(self) -> Context:
@@ -156,20 +157,21 @@ class LinSubspace:
 
     def members(self):
         """Basis as (MultiVec, Form) pairs: each echelon row over its
-        pivot, written straight on the store as `const` writes it."""
-        ctx, r, q = self.ctx, self.r, self.p + 1 - self.r
-        mv_keys = [(I, 0) for I in _tuples(self.n, r)]
-        fm_keys = [(J, 0) for J in _tuples(self.n, q)]
-        nm = len(mv_keys)
-        out = []
-        for row, pc in zip(self.rows, self.pivots):
-            pv = row[pc]
-            out.append((
-                MultiVec._raw(ctx, r, {k: a for k, a in zip(mv_keys, row)
-                                       if a}, pv),
-                Form._raw(ctx, q, {k: a for k, a in zip(fm_keys, row[nm:])
-                                   if a}, pv)))
-        return out
+        pivot, written straight on the store as `const` writes it.  The
+        subspace is immutable, so they are built on the first call; each
+        call returns a fresh list."""
+        if self._members is None:
+            ctx, r, q = self.ctx, self.r, self.p + 1 - self.r
+            mv_keys = [(I, 0) for I in _tuples(self.n, r)]
+            fm_keys = [(J, 0) for J in _tuples(self.n, q)]
+            nm = len(mv_keys)
+            self._members = tuple(
+                (MultiVec._raw(ctx, r, {k: a for k, a in zip(mv_keys, row)
+                                        if a}, row[pc]),
+                 Form._raw(ctx, q, {k: a for k, a in zip(fm_keys, row[nm:])
+                                    if a}, row[pc]))
+                for row, pc in zip(self.rows, self.pivots))
+        return list(self._members)
 
     @staticmethod
     def from_elements(n: int, p: int, elems, r: int = 1) -> "LinSubspace":

@@ -8,13 +8,16 @@ subspace: two spans are equal exactly when their echelon rows are.
 `rref`, `span_basis`, `kernel_basis`, `solve` and `solve_many` are thin
 `Fraction` views over it.  Every routine takes rows of ints, of
 Fractions or of both, since an int has a numerator and a denominator
-too; the `Fraction` views return Fractions either way.
+too, and raises TypeError on any other entry (a float, say); the
+`Fraction` views return Fractions either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .poly import _as_rat
 
 _ZERO = Fraction(0)
 
@@ -69,8 +72,14 @@ def rref(rows):
 
 
 def integer_row(row) -> list[int]:
-    """A row of ints or Fractions times the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
+    """A row of ints or Fractions times the lcm of its denominators;
+    TypeError on any other entry."""
+    try:
+        den = lcm(*[x.denominator for x in row])
+    except AttributeError:
+        for x in row:
+            _as_rat(x)   # raises the TypeError
+        raise
     if den == 1:
         return [x.numerator for x in row]
     return [x.numerator * (den // x.denominator) for x in row]

@@ -209,10 +209,11 @@ class _IntSum:
 # term-pair kernels for stores keyed by (word, packed exponents): every
 # product and bracket of forms, multivectors, graded polynomials and the
 # parser's sums.  Each returns the (num, den) of its result over
-# a._den * b._den with zero numerators dropped, for `_raw` or `_like`,
-# and raises ValueError when the exponents of a pair of terms add past
-# the ceiling.  The terms of ``b`` are grouped by word once, so the rule
-# is read once per term of ``a`` and word of ``b``.
+# a._den * b._den (a sum of products over the lcm of those) with zero
+# numerators dropped, for `_raw` or `_like`, and raises ValueError when
+# the exponents of a pair of terms add past the ceiling.  The terms of
+# ``b`` are grouped by word once, so the rule is read once per term of
+# ``a`` and word of ``b``.
 
 
 def _by_word(b: _IntSum) -> dict:
@@ -230,16 +231,15 @@ def _done(num: dict, ctx: Context, den: int) -> tuple:
     return {k: n for k, n in num.items() if n}, den
 
 
-def _products(a: _IntSum, b: _IntSum, rule) -> tuple:
-    """The sum of sign * ca * cb at (word, ea + eb) over the terms
-    (wa, ea) of ``a`` and (wb, eb) of ``b``, where rule(wa, wb) =
-    (sign, word); a zero sign drops the pair."""
-    if not (a._num and b._num):
-        return {}, 1
-    num: dict = {}
+def _add_products(num: dict, a: _IntSum, b: _IntSum, rule, f: int) -> None:
+    """Add f * sign * ca * cb to ``num`` at (word, ea + eb) over the
+    terms (wa, ea) of ``a`` and (wb, eb) of ``b``, where rule(wa, wb) =
+    (sign, word); a zero sign drops the pair.  The one per-pair loop of
+    every product."""
     get = num.get
     groups = _by_word(b).items()
     for (wa, ea), ca in a._num.items():
+        ca *= f
         for wb, terms in groups:
             sign, word = rule(wa, wb)
             if sign:
@@ -247,7 +247,30 @@ def _products(a: _IntSum, b: _IntSum, rule) -> tuple:
                 for eb, cb in terms:
                     key = (word, ea + eb)
                     num[key] = get(key, 0) + c * cb
+
+
+def _products(a: _IntSum, b: _IntSum, rule) -> tuple:
+    """The product of ``a`` and ``b`` under ``rule``, as `_add_products`
+    sums it."""
+    if not (a._num and b._num):
+        return {}, 1
+    num: dict = {}
+    _add_products(num, a, b, rule, 1)
     return _done(num, a.ctx, a._den * b._den)
+
+
+def _product_sum(parts, rule, ctx: Context, div: int = 1) -> tuple:
+    """The sum of c * (a x b) / div over the (int c, a, b) of ``parts``,
+    each product under ``rule``, summed in one dict over the lcm of the
+    products' denominators; ``div`` is a positive int."""
+    parts = [(c, a, b) for c, a, b in parts if c and a._num and b._num]
+    if not parts:
+        return {}, 1
+    den = lcm(*[a._den * b._den for _, a, b in parts])
+    num: dict = {}
+    for c, a, b in parts:
+        _add_products(num, a, b, rule, c * (den // (a._den * b._den)))
+    return _done(num, ctx, den * div)
 
 
 def _brackets(a: _IntSum, b: _IntSum, rule) -> tuple:

@@ -5,9 +5,10 @@ from math import gcd
 
 import pytest
 
-from diracspace.poly import Context, Poly
+from diracspace.poly import Context, Poly, _product_sum
 from diracspace.calculus import (Form, MultiVec, VField, _contract_idx,
-                                 _sort_sign, const, contract, coords,
+                                 _sort_sign, _wedge_idx, const, contract,
+                                 contract_sum, coords,
                                  deRham, iota_form, lie_bracket,
                                  lie_derivative, lie_derivative_direct,
                                  poincare_primitive, schouten, wedge)
@@ -550,3 +551,93 @@ def test_exponent_ceiling_in_wedge_bracket_and_primitive():
     assert deRham(prim) == x1(32766) * dx1
     with pytest.raises(ValueError, match="above 32767"):
         poincare_primitive(x1(32767) * dx1)
+
+
+# -- sums of contractions in one pass ----------------------------------
+# The reference builds what `contract_sum` does not: one contraction per
+# part, then the sum and the scalar multiple.
+
+
+def _ref_contract_sum(ctx, degree, parts, div=1):
+    out = Form.zero(ctx, degree)
+    for c, Y, a in parts:
+        out = out + c * contract(Y, a)
+    return out * Fraction(1, div)
+
+
+def _sum_operand(local, draw, ctx, degree):
+    """A random operand of ``degree``: sometimes zero, and otherwise
+    over a denominator drawn apart from the sampler's."""
+    if local.random() < 0.15:
+        return draw(local, ctx, degree).zero(ctx, degree)
+    return draw(local, ctx, degree, max_deg=1) * Fraction(
+        1, local.choice((1, 5, 7, 10)))
+
+
+def test_contract_sum_matches_contract_per_part():
+    local = random.Random(2525)
+    for _ in range(300):
+        ctx = Context(local.randint(1, 4))
+        n = ctx.dim
+        degree = local.randint(0, n - 1)
+        parts = []
+        for _ in range(local.randint(0, 3)):
+            q = local.randint(1, min(3, n - degree))
+            parts.append((local.randint(-3, 3),
+                          _sum_operand(local, random_multivec, ctx, q),
+                          _sum_operand(local, random_form, ctx, q + degree)))
+        div = local.choice((1, 2))
+        got = contract_sum(ctx, degree, parts, div)
+        want = _ref_contract_sum(ctx, degree, parts, div)
+        assert got == want
+        _assert_kernel_result(got, degree, want.comps)
+        assert Form._raw(ctx, degree, *_product_sum(
+            parts, _contract_idx, ctx, div)) == want
+        # the same loop under the wedge rule, on forms
+        k = local.randint(0, n)
+        l = local.randint(0, n - k)
+        parts = [(local.randint(-3, 3),
+                  _sum_operand(local, random_form, ctx, k),
+                  _sum_operand(local, random_form, ctx, l))
+                 for _ in range(local.randint(0, 3))]
+        want = Form.zero(ctx, k + l)
+        for c, a, b in parts:
+            want = want + c * wedge(a, b)
+        assert Form._raw(ctx, k + l, *_product_sum(
+            parts, _wedge_idx, ctx, div)) == want * Fraction(1, div)
+
+
+def test_contract_sum_edge_cases():
+    ctx = Context(3)
+    local = random.Random(2626)
+    Y1 = random_multivec(local, ctx, 1)
+    Y2 = random_multivec(local, ctx, 2)
+    a1, a2 = random_form(local, ctx, 1), random_form(local, ctx, 2)
+    # no parts, and parts that are all zero, give the zero of the degree
+    for parts in ([], [(0, Y1, a2)], [(3, MultiVec.zero(ctx, 1), a2)],
+                  [(1, Y1, a2), (-1, Y1, a2)]):
+        got = contract_sum(ctx, 1, parts, 2)
+        assert got.is_zero() and got.degree == 1 and got._den == 1
+    # a negative result degree gives the zero form of that degree
+    got = contract_sum(ctx, -1, [(1, Y2, a1), (-2, Y2, a1)])
+    assert got.is_zero() and got.degree == -1
+    assert contract(Y2, a1).degree == -1
+    # a nonzero part of another degree is refused
+    with pytest.raises(ValueError, match="degree"):
+        contract_sum(ctx, 0, [(1, Y1, a1), (1, Y1, a2)])
+    with pytest.raises(ValueError, match="expected a MultiVec and a Form"):
+        contract_sum(ctx, 0, [(1, a1, Y1)])
+    with pytest.raises(ValueError, match="context mismatch"):
+        contract_sum(Context(4), 0, [(1, Y1, a1)])
+    # an exponent sum past the ceiling still raises
+    ctx2 = Context(2)
+    x1 = Poly(ctx2, {(32767, 0): 1})
+    big = MultiVec(ctx2, 1, {(1,): x1})
+    dx1 = Form(ctx2, 1, {(1,): Poly(ctx2, {(1, 0): 1})})
+    with pytest.raises(ValueError, match="above 32767"):
+        contract(big, dx1)
+    with pytest.raises(ValueError, match="above 32767"):
+        contract_sum(ctx2, 0, [(1, big, dx1)], 2)
+    with pytest.raises(ValueError, match="above 32767"):
+        contract_sum(ctx2, 0, [(1, MultiVec.basis(ctx2, (1,)), dx1),
+                               (-1, big, dx1)])

@@ -232,3 +232,33 @@ def test_mv_lie_derivative_of_a_wedge_with_a_field():
         want = (contract(Z, lp)
                 + (-1) ** q * lie_derivative(Z, contract(P, eta)))
         assert mv_lie_derivative(wedge(P, Z), eta) == want
+
+
+def test_pairings_match_their_two_contraction_bodies():
+    # the bodies `pairing`, `multi_pairing` and the d-term of
+    # `multi_bracket` had before they summed their contractions in one
+    # pass, kept as references
+    local = random.Random(2727)
+    half = Fraction(1, 2)
+    for _ in range(40):
+        ctx = Context(local.randint(2, 4))
+        p = local.randint(1, ctx.dim - 1)
+        e1, e2 = (SectionEp(p, random_vfield(local, ctx, 1),
+                            random_form(local, ctx, p, max_deg=1))
+                  for _ in range(2))
+        assert pairing(e1, e2) == (contract(e1.X, e2.alpha)
+                                   + contract(e2.X, e1.alpha))
+        r = local.randint(1, p)
+        s = local.randint(1, p + 1 - r)
+        a, b = (SectionPr(p, k, random_multivec(local, ctx, k, max_deg=1),
+                          random_form(local, ctx, p + 1 - k, max_deg=1))
+                for k in (r, s))
+        sgn = (-1) ** (r * s)
+        got = multi_pairing(a, b)
+        assert got.degree == p + 1 - r - s
+        assert got == half * (contract(b.Y, a.eta)
+                              - sgn * contract(a.Y, b.eta))
+        form = (mv_lie_derivative(a.Y, b.eta) - mv_lie_derivative(b.Y, a.eta)
+                - Fraction((-1) ** s, 2)
+                * deRham(contract(b.Y, a.eta) + sgn * contract(a.Y, b.eta)))
+        assert multi_bracket(a, b).eta == form

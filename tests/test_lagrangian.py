@@ -540,6 +540,13 @@ def test_members_are_the_const_members():
                 assert type(a) is type(b) and a.degree == b.degree
                 assert (a._num, a._den) == (b._num, b._den)
                 assert list(a._num) == list(b._num) and str(a) == str(b)
+        # kept per subspace: a second call gives the same members, and
+        # changing a returned list changes no later call
+        again = L.members()
+        assert again == got and again is not got
+        got.append(None)
+        again.clear()
+        assert L.members() == got[:-1]
 
 
 def test_subspace_equality_is_equality_of_fraction_bases():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 from math import gcd
 
+import pytest
+
 from diracspace.linalg import (distinct_lines, echelon, int_kernel,
                                integer_row, kernel_basis, rref, solve,
                                solve_many, span_basis, span_equal)
@@ -283,3 +285,19 @@ def test_solve_many_is_solve_per_column():
         assert each == [_reference_solve(A, b) for b in rhss]
         got = solve_many(A, rhss)
         assert got == (None if None in each else each)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: echelon([[1, 0.5]]),
+    lambda: rref([[Fraction(1, 2), 0.5]]),
+    lambda: span_basis([[0.5, 1]]),
+    lambda: kernel_basis([[1, 0.5]], 2),
+    lambda: int_kernel([[1, 2], [3, 0.5]], 2),
+    lambda: solve([[1]], [0.5]),
+    lambda: solve_many([[1, 2]], [[3], [0.25]]),
+], ids=["echelon", "rref", "span_basis", "kernel_basis", "int_kernel",
+        "solve", "solve_many"])
+def test_float_entries_raise_type_error(call):
+    with pytest.raises(TypeError,
+                       match="expected an integer or Fraction, got float"):
+        call()
