@@ -568,10 +568,10 @@ def _ref_contract_sum(ctx, degree, parts, div=1):
 def _sum_operand(local, draw, ctx, degree):
     """A random operand of ``degree``: sometimes zero, and otherwise
     over a denominator drawn apart from the sampler's."""
+    a = draw(local, ctx, degree, max_deg=1)
     if local.random() < 0.15:
-        return draw(local, ctx, degree).zero(ctx, degree)
-    return draw(local, ctx, degree, max_deg=1) * Fraction(
-        1, local.choice((1, 5, 7, 10)))
+        return a.zero(ctx, degree)
+    return a * Fraction(1, local.choice((1, 5, 7, 10)))
 
 
 def test_contract_sum_matches_contract_per_part():
@@ -589,7 +589,6 @@ def test_contract_sum_matches_contract_per_part():
         div = local.choice((1, 2))
         got = contract_sum(ctx, degree, parts, div)
         want = _ref_contract_sum(ctx, degree, parts, div)
-        assert got == want
         _assert_kernel_result(got, degree, want.comps)
         assert Form._raw(ctx, degree, *_product_sum(
             parts, _contract_idx, ctx, div)) == want
