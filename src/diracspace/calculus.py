@@ -67,14 +67,16 @@ class _Graded(_IntSum):
 
     ``_prefix`` names the basis ("dx" or "Dx") and is the kind that
     equality and hashing compare, so subclasses of one kind are equal
-    when their terms are.
+    when their terms are.  Values are immutable by convention, so
+    `deRham` keeps its result in ``_d`` (None until then).
     """
 
-    __slots__ = ("ctx", "degree")
+    __slots__ = ("ctx", "degree", "_d")
 
     def __init__(self, ctx: Context, degree: int, comps: dict | None = None):
         self.ctx = ctx
         self.degree = degree
+        self._d = None
         clean = []
         for idx, c in (comps or {}).items():
             idx = tuple(idx)
@@ -104,6 +106,7 @@ class _Graded(_IntSum):
         out = object.__new__(cls)
         out.ctx = ctx
         out.degree = degree
+        out._d = None
         out._num, out._den = _reduced(num, den)
         return out
 
@@ -380,10 +383,14 @@ def _d_rule(idx: tuple, dim: int) -> tuple:
 
 
 def deRham(a: Form) -> Form:
+    """d a, computed once per value: the result is kept on ``a``."""
+    if a._d is not None:
+        return a._d
     deg = a.degree + 1
     dim = a.ctx.dim
     if deg > dim:
-        return Form.zero(a.ctx, deg)
+        a._d = Form.zero(a.ctx, deg)
+        return a._d
     num: dict = {}
     get = num.get
     for (idx, e), n in a._num.items():
@@ -392,7 +399,8 @@ def deRham(a: Form) -> Form:
             if k:
                 key = (merged, e - unit)
                 num[key] = get(key, 0) + sign * k * n
-    return Form._collect(a.ctx, deg, num, a._den)
+    a._d = Form._collect(a.ctx, deg, num, a._den)
+    return a._d
 
 
 def poincare_primitive(a: Form) -> Form:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 from .calculus import (Form, MultiVec, VField, _contract_idx, _wedge_idx,
-                       const, contract, coords)
+                       const, coords)
 from .courant import SectionPr, multi_pairing
 from .linalg import (distinct_lines, echelon, fraction_rows, int_kernel,
                      kernel_basis, solve, solve_many, span_basis, span_equal)
@@ -88,14 +88,6 @@ def _dot(a, b):
 
 def const_vfield(ctx: Context, vec) -> VField:
     return const(VField, ctx, 1, vec)
-
-
-def form_eval(a: Form, vecs) -> Fraction:
-    """Evaluate a constant k-form on k coordinate vectors."""
-    out = a
-    for v in vecs:
-        out = contract(const_vfield(a.ctx, v), out)
-    return coords(out.as_degree(0, "the evaluated form"))[0]
 
 
 # -- subspaces ---------------------------------------------------------

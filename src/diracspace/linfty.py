@@ -28,9 +28,11 @@ from fractions import Fraction
 
 from .calculus import (
     Form,
+    MultiVec,
     VField,
     _sort_sign,
     contract,
+    contract_sum,
     deRham,
     lie_bracket,
     lie_derivative,
@@ -293,6 +295,7 @@ class TwistedSectionsFamily(MultibracketFamily):
             raise ValueError("twist is not closed (pass allow_nonclosed "
                              "to experiment anyway)")
         self.H = H
+        self._unit = MultiVec.basis(ctx, ())
 
     def section(self, X: VField, alpha: Form) -> GradedElem:
         return GradedElem(0, SectionEp(self.r - 1, X, alpha))
@@ -306,44 +309,53 @@ class TwistedSectionsFamily(MultibracketFamily):
         return (super().vanishes(degrees) or n >= 4 and n % 2 == 0
                 or sum(d < 0 for d in degrees) >= 2)
 
-    def _nary_form(self, xi: Form, Xs: list[VField], full: bool) -> Form:
-        """[xi, X_0, ..., X_{k-1}] for odd n = k + 1 >= 3, in closed
-        form."""
-        return self._nary_sum([None, *Xs], {0: xi}, full)
-
     def _nary_sum(self, Xs: list, forms: dict, full: bool) -> Form:
         """The sum over the slots i of ``forms`` of (-1)^i [forms[i],
-        Xs minus Xs[i]], each in closed form, with odd n = len(Xs) >= 3.
+        Xs minus Xs[i]], each in closed form, with odd n = len(Xs) >= 3;
+        when ``full`` (the forms are the sections'), plus the H term
+        n B_{n-1} eps(n) i_{X_n} ... i_{X_1} H, so that it is l_n.
+
         Both d and every contraction are linear, so the terms are summed
         by the set of fields left to contract, and each set gets one d
-        and one contraction chain."""
+        and one contraction chain.  Every coefficient is doubled into an
+        int: a set's form under d is one `contract_sum` of its parts (a
+        set whose one part is c xi needs none: its d is c d xi), and the
+        chains end in one `contract_sum` that halves it again.
+        """
         n, k = len(Xs), len(Xs) - 1
-        inner: dict = {}   # fields left to contract -> form under d
-
-        def put(left, c, form):
-            inner[left] = inner[left] + c * form if left in inner else c * form
-
-        c_all = Fraction(k * (k - 1) * (2 + full), 2)
-        c_one = Fraction(3 * (k - 1), 2)
+        ctx = self.ctx
+        inner: dict = {}   # fields left to contract -> (degree, parts)
+        outer = []         # (c, fields left to contract, form under them)
+        c_all = k * (k - 1) * (2 + full)
+        c_one = 3 * (k - 1)
         for i, xi in forms.items():
             s = -1 if i % 2 else 1
             rest = [m for m in range(n) if m != i]
-            put(tuple(rest), s * c_all, xi)
-            i_xi = {g: contract(Xs[g], xi) for g in rest}
+            outer.append((s * c_all, rest, deRham(xi)))
             for m, g in enumerate(rest):
-                put(tuple(rest[:m] + rest[m + 1:]), -s * c_one if m % 2
-                    else s * c_one, i_xi[g])
+                left = tuple(rest[:m] + rest[m + 1:])
+                inner.setdefault(left, (xi.degree - 1, []))[1].append(
+                    (-s * c_one if m % 2 else s * c_one, Xs[g], xi))
+            i_xi = {g: contract(Xs[g], xi) for g in rest[1:]}
             for (a, ga), (b, gb) in itertools.combinations(enumerate(rest),
                                                            2):
-                put(tuple(g for g in rest if g not in (ga, gb)),
-                    -s if (a + b) % 2 else s, contract(Xs[ga], i_xi[gb]))
-        acc = Form.zero(self.ctx)
-        for left, form in inner.items():
-            form = deRham(form)
-            for g in left:
+                left = tuple(g for g in rest if g not in (ga, gb))
+                inner.setdefault(left, (xi.degree - 2, []))[1].append(
+                    (-2 * s if (a + b) % 2 else 2 * s, Xs[ga], i_xi[gb]))
+        for left, (degree, parts) in inner.items():
+            outer.append((1, left, deRham(contract_sum(ctx, degree, parts))))
+        if full and not self.H.is_zero():
+            outer.append((-n * k * (k - 1), range(n), self.H))
+        parts = []
+        for c, left, form in outer:
+            *first, last = left or [None]
+            for g in first:
                 form = contract(Xs[g], form)
-            acc = acc + form
-        return Fraction(-2, k * (k - 1)) * bernoulli(k) * _eps(n) * acc
+            # iota of the unit 0-vector is the identity
+            parts.append((c, self._unit if last is None else Xs[last], form))
+        degree = next(iter(forms.values())).degree + 1 - k
+        return (Fraction(-2, k * (k - 1)) * bernoulli(k) * _eps(n)
+                * contract_sum(ctx, degree, parts, div=2))
 
     def _bracket(self, args: list[GradedElem]) -> GradedElem:
         n = len(args)
@@ -367,14 +379,9 @@ class TwistedSectionsFamily(MultibracketFamily):
             forms = {i: args[i].payload for i in negs}
         else:
             forms = {i: a.payload.alpha for i, a in enumerate(args)}
-        acc = self._nary_sum([None if d < 0 else a.payload.X
-                              for a, d in zip(args, degs)], forms, not negs)
-        if not negs:
-            iota_H = self.H
-            for a in args:
-                iota_H = contract(a.payload.X, iota_H)
-            acc = acc + Fraction(n) * bernoulli(n - 1) * _eps(n) * iota_H
-        return self._clamp(out_deg, acc)
+        return self._clamp(out_deg, self._nary_sum(
+            [None if d < 0 else a.payload.X for a, d in zip(args, degs)],
+            forms, not negs))
 
 
 # -- L-infinity morphisms ---------------------------------------------

@@ -387,13 +387,6 @@ class Poly(_IntSum):
         # the one constant key is 0
         return not any(self._num)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self._num.values())), self._den)
-
     # -- arithmetic ---------------------------------------------------
     # Results are built with _raw: sums of valid keys are tested against
     # the ceiling, decrements are valid, and every zero numerator is

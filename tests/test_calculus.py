@@ -68,6 +68,27 @@ def test_cartan_magic_formula():
         assert lie_derivative(X, a) == lie_derivative_direct(X, a)
 
 
+def test_deRham_is_kept_on_its_operand():
+    # d of a value is computed once and kept on it; a copy built through
+    # the public constructor carries none and gets the same d, and the
+    # Cartan cross-check holds on forms whose d was already taken
+    local = random.Random(203)
+    ctx = Context(3)
+    for k in (0, 1, 2, 3):
+        for _ in range(3):
+            a = random_form(local, ctx, k, max_deg=2)
+            d = deRham(a)
+            assert deRham(a) is d
+            copy = Form(ctx, k, a.comps)
+            assert copy == a and copy is not a
+            assert deRham(copy) == d and str(deRham(copy)) == str(d)
+            same = a + Form.zero(ctx, k)
+            assert same is a and deRham(same) is d
+            X = random_vfield(local, ctx, max_deg=2)
+            assert lie_derivative(X, a) == lie_derivative_direct(X, a)
+            assert lie_derivative(X, a) == lie_derivative_direct(X, copy)
+
+
 def test_lie_bracket_via_derivative():
     ctx = Context(3)
     for _ in range(15):

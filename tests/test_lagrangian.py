@@ -13,7 +13,6 @@ from diracspace.lagrangian import (LagrangianPair, LinSubspace,
                                    _pairing_tensor,
                                    _tuples, annihilator, classify, const,
                                    const_vfield, coords, extend_to_form,
-                                   form_eval,
                                    from_pair, multidirac_tier,
                                    nambu_dirac_check, norom_subspace, perp,
                                    perp_tier, random_lagrangian, to_pair)
@@ -21,6 +20,13 @@ from diracspace.linalg import kernel_basis, solve, span_basis
 from diracspace.sampling import random_constant_form
 
 rng = random.Random(505)
+
+
+def form_eval(a, vecs):
+    # a constant k-form evaluated on k coordinate vectors
+    for v in vecs:
+        a = contract(const_vfield(a.ctx, v), a)
+    return coords(a.as_degree(0, "the evaluated form"))[0]
 
 
 def test_perp_fixed_points():

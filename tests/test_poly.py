@@ -45,13 +45,22 @@ def test_partial_leibniz_and_commutes():
         assert a.partial(1).partial(2) == a.partial(2).partial(1)
 
 
+def _constant_value(a):
+    # the value of a constant Poly
+    if a.is_zero():
+        return Fraction(0)
+    if not a.is_constant():
+        raise ValueError("polynomial is not constant")
+    return Fraction(next(iter(a._num.values())), a._den)
+
+
 def test_variable_and_constant():
     ctx = Context(2)
     x1 = Poly.variable(ctx, 1)
     assert x1.partial(1) == Poly.constant(ctx, 1)
     assert x1.partial(2).is_zero()
     c = Poly.constant(ctx, Fraction(5, 3))
-    assert c.is_constant() and c.constant_value() == Fraction(5, 3)
+    assert c.is_constant() and _constant_value(c) == Fraction(5, 3)
 
 
 def test_divide_exact():
